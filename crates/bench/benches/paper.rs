@@ -10,12 +10,14 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use regalloc_coloring::ColoringAllocator;
-use regalloc_core::IpAllocator;
+use regalloc_core::build::build_function;
+use regalloc_core::{CostModel, RobustAllocator};
 use regalloc_ilp::simplex::solve_lp;
 use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
+use regalloc_obs::Tracer;
 use regalloc_workloads::{generate_function, GenConfig};
-use regalloc_x86::{RiscMachine, X86Machine};
+use regalloc_x86::{Machine, RiscMachine, X86Machine};
 
 fn sample_function(insts: usize, seed: u64) -> Function {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -36,14 +38,20 @@ fn quick_solver() -> SolverConfig {
     }
 }
 
+fn model_rows<M: Machine + ?Sized>(f: &Function, machine: &M) -> usize {
+    build_function(f, machine, &CostModel::paper())
+        .built
+        .model
+        .num_rows()
+}
+
 fn bench_model_build(c: &mut Criterion) {
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine);
     let mut g = c.benchmark_group("model_build");
     for insts in [10usize, 20, 40] {
         let f = sample_function(insts, 42);
         g.bench_with_input(BenchmarkId::from_parameter(insts), &f, |b, f| {
-            b.iter(|| ip.build_only(f).unwrap().model.num_rows())
+            b.iter(|| model_rows(f, &machine))
         });
     }
     g.finish();
@@ -51,12 +59,11 @@ fn bench_model_build(c: &mut Criterion) {
 
 fn bench_lp_relaxation(c: &mut Criterion) {
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine);
     let mut g = c.benchmark_group("lp_relaxation");
     g.sample_size(10);
     for insts in [10usize, 20] {
         let f = sample_function(insts, 43);
-        let built = ip.build_only(&f).unwrap();
+        let built = build_function(&f, &machine, &CostModel::paper()).built;
         let n = built.model.num_vars();
         g.bench_with_input(
             BenchmarkId::from_parameter(built.model.num_rows()),
@@ -80,13 +87,16 @@ fn bench_lp_relaxation(c: &mut Criterion) {
 
 fn bench_ip_allocation(c: &mut Criterion) {
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine).with_solver_config(quick_solver());
+    let ip = RobustAllocator::new(&machine)
+        .with_solver_config(quick_solver())
+        .with_equivalence(0, 0)
+        .with_static_validation(false);
     let mut g = c.benchmark_group("ip_allocate");
     g.sample_size(10);
     for insts in [10usize, 25] {
         let f = sample_function(insts, 44);
         g.bench_with_input(BenchmarkId::from_parameter(insts), &f, |b, f| {
-            b.iter(|| ip.allocate(f).unwrap().stats)
+            b.iter(|| ip.allocate(f, &Tracer::off()).unwrap().stats)
         });
     }
     g.finish();
@@ -109,15 +119,9 @@ fn bench_x86_vs_risc_build(c: &mut Criterion) {
     let x86 = X86Machine::pentium();
     let risc = RiscMachine::new();
     let f = sample_function(20, 45);
-    let ipx = IpAllocator::new(&x86);
-    let ipr = IpAllocator::new(&risc);
     let mut g = c.benchmark_group("x86_vs_risc_build");
-    g.bench_function("x86_6_regs", |b| {
-        b.iter(|| ipx.build_only(&f).unwrap().model.num_rows())
-    });
-    g.bench_function("risc_24_regs", |b| {
-        b.iter(|| ipr.build_only(&f).unwrap().model.num_rows())
-    });
+    g.bench_function("x86_6_regs", |b| b.iter(|| model_rows(&f, &x86)));
+    g.bench_function("risc_24_regs", |b| b.iter(|| model_rows(&f, &risc)));
     g.finish();
 }
 

@@ -7,8 +7,12 @@
 //! for the same functions and reports the constraint and variable ratios,
 //! plus solve-time ratios over functions both machines solve optimally.
 
+use std::time::Duration;
+
 use regalloc_bench::Options;
-use regalloc_core::IpAllocator;
+use regalloc_core::build::build_function;
+use regalloc_core::{CostModel, RobustAllocator};
+use regalloc_obs::Tracer;
 use regalloc_workloads::{Benchmark, Suite};
 use regalloc_x86::{RiscMachine, X86Machine};
 
@@ -16,8 +20,17 @@ fn main() {
     let o = Options::from_args();
     let x86 = X86Machine::pentium();
     let risc = RiscMachine::new();
-    let ip_x86 = IpAllocator::new(&x86).with_solver_config(o.solver());
-    let ip_risc = IpAllocator::new(&risc).with_solver_config(o.solver());
+    // The plain IP path: only the solver's own limit bounds a function.
+    let ip_x86 = RobustAllocator::new(&x86)
+        .with_solver_config(o.solver())
+        .with_budget(Duration::MAX)
+        .with_equivalence(0, 0)
+        .with_static_validation(false);
+    let ip_risc = RobustAllocator::new(&risc)
+        .with_solver_config(o.solver())
+        .with_budget(Duration::MAX)
+        .with_equivalence(0, 0)
+        .with_static_validation(false);
 
     let (mut cx, mut cr, mut vx, mut vr) = (0usize, 0usize, 0usize, 0usize);
     let (mut tx, mut tr) = (0.0_f64, 0.0_f64);
@@ -27,8 +40,8 @@ fn main() {
         // A light sample per benchmark: model building dominates.
         let suite = Suite::generate_scaled(b, o.seed, (o.scale * 0.25).max(0.004));
         for f in suite.functions.iter().filter(|f| !f.uses_64bit()) {
-            let bx = ip_x86.build_only(f).expect("attempted");
-            let br = ip_risc.build_only(f).expect("attempted");
+            let bx = build_function(f, &x86, &CostModel::paper()).built;
+            let br = build_function(f, &risc, &CostModel::paper()).built;
             cx += bx.model.num_rows();
             cr += br.model.num_rows();
             vx += bx.model.num_vars();
@@ -38,9 +51,15 @@ fn main() {
             // machines' models solve to optimality quickly (the RISC
             // model is ~4x larger, so it dominates the wall clock).
             if f.num_insts() <= 16 {
-                let ax = ip_x86.allocate(f).unwrap();
-                let ar = ip_risc.allocate(f).unwrap();
-                if ax.solved_optimally && ar.solved_optimally {
+                let ax = ip_x86
+                    .allocate(f, &Tracer::off())
+                    .expect("attempted")
+                    .report;
+                let ar = ip_risc
+                    .allocate(f, &Tracer::off())
+                    .expect("attempted")
+                    .report;
+                if ax.solved_optimally() && ar.solved_optimally() {
                     both_optimal += 1;
                     tx += ax.solve_time.as_secs_f64();
                     tr += ar.solve_time.as_secs_f64();

@@ -18,8 +18,8 @@
 //! constraint-count ratio against the x86 baseline.
 
 use regalloc_bench::Options;
-use regalloc_core::targets;
-use regalloc_core::IpAllocator;
+use regalloc_core::build::build_function;
+use regalloc_core::{targets, CostModel};
 use regalloc_ir::Function;
 use regalloc_machine::{refuses, TargetId};
 use regalloc_workloads::{fuzz_function, GenConfig};
@@ -31,16 +31,15 @@ struct Row {
     variables: usize,
 }
 
-fn measure(o: &Options, pool: &[Function]) -> Vec<Row> {
+fn measure(pool: &[Function]) -> Vec<Row> {
     let mut rows = Vec::new();
     for (t, m) in targets::all() {
-        let ip = IpAllocator::new(m.as_ref()).with_solver_config(o.solver());
         let (mut n, mut c, mut v) = (0usize, 0usize, 0usize);
         for f in pool {
             if refuses(m.as_ref(), f) {
                 continue;
             }
-            let built = ip.build_only(f).expect("accepted function must model");
+            let built = build_function(f, m.as_ref(), &CostModel::paper()).built;
             n += 1;
             c += built.model.num_rows();
             v += built.model.num_vars();
@@ -113,12 +112,12 @@ fn main() {
     print_table(
         "portable 16-bit pool — every target attempts",
         portable.len(),
-        &measure(&o, &portable),
+        &measure(&portable),
     );
     print_table(
         "classic 32-bit pool — the paper's workload mix",
         classic.len(),
-        &measure(&o, &classic),
+        &measure(&classic),
     );
     println!("paper: fewer allocatable registers -> a smaller 0-1 model; the x86's");
     println!("       irregularity is a size advantage, and the MCU (8 registers,");

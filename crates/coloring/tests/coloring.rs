@@ -253,7 +253,8 @@ fn copies_deleted_by_coalescing() {
 fn baseline_is_never_better_than_ip_on_these() {
     // The headline claim, in miniature: on a few hand-built functions the
     // IP allocator's overhead is at most the baseline's.
-    use regalloc_core::IpAllocator;
+    use regalloc_core::{ReasonCode, RobustAllocator};
+    use regalloc_obs::Tracer;
     let m = X86Machine::pentium();
     let mut worse = 0;
     for variant in 0..4 {
@@ -273,7 +274,18 @@ fn baseline_is_never_better_than_ip_on_these() {
             b.ret(Some(z));
         }
         let f = b.finish();
-        let ip = IpAllocator::new(&m).allocate(&f).unwrap();
+        let ip = RobustAllocator::new(&m)
+            .with_equivalence(0, 0)
+            .with_static_validation(false)
+            .allocate(&f, &Tracer::off())
+            .unwrap();
+        // The ladder would hide an IP rung that panicked or emitted
+        // invalid code behind a lower rung.
+        assert!(!ip
+            .report
+            .demotions
+            .iter()
+            .any(|d| matches!(d.reason, ReasonCode::Panic | ReasonCode::ValidationFailed)));
         let gc = ColoringAllocator::new(&m).allocate(&f).unwrap();
         check::equivalent::<X86RegFile>(&f, &gc.func, 4, 77).unwrap();
         if ip.stats.overhead_cycles() > gc.stats.overhead_cycles() {

@@ -30,10 +30,10 @@
 use std::collections::HashMap;
 
 use regalloc_ilp::{Model, VarId};
-use regalloc_ir::{Cfg, Function, Inst, PhysReg, Profile, SymId, UseRole};
+use regalloc_ir::{Cfg, Function, Inst, Liveness, LoopInfo, PhysReg, Profile, SymId, UseRole};
 use regalloc_x86::Machine;
 
-use crate::analysis::{Analysis, Event, SegId};
+use crate::analysis::{self, Analysis, Event, SegId};
 use crate::cost::CostModel;
 use crate::irregular::{encoding, mem_operand, overlap, predefined, two_address};
 use crate::symbolic::{EventDecision, EventKey, RoleDecision, SymbolicSolution};
@@ -1109,6 +1109,50 @@ impl<'a, M: Machine + ?Sized> Builder<'a, M> {
             overlap::emit_occupancy_rows(&mut self.model, post_rows);
         }
     }
+}
+
+/// A function's 0-1 program together with the analysis the rewrite reads
+/// it back through.
+#[derive(Clone, Debug)]
+pub struct FunctionModel {
+    /// The decision points of the function.
+    pub analysis: Analysis,
+    /// The integer program and its decision-variable table.
+    pub built: BuiltModel,
+}
+
+/// Analyse `f` and build its integer program: CFG → loop-nesting profile
+/// → [`build_profiled`]. The one path from a function to its model,
+/// shared by the cache-hit re-audit, the fuzzer's proof oracle and the
+/// model-size experiments.
+///
+/// The caller checks [`regalloc_machine::refuses`] first: a function of a
+/// width the machine refuses has no meaningful model.
+pub fn build_function<M: Machine + ?Sized>(
+    f: &Function,
+    machine: &M,
+    cost: &CostModel,
+) -> FunctionModel {
+    let cfg = Cfg::new(f);
+    let profile = Profile::estimate(f, &cfg, &LoopInfo::new(f, &cfg));
+    build_profiled(f, &cfg, &profile, machine, cost)
+}
+
+/// [`build_function`] under an already estimated profile: liveness →
+/// [`analysis::analyze`] → [`build_model`]. The allocation pipeline calls
+/// this directly, since its lower rungs need the profile even when the
+/// build panics.
+pub fn build_profiled<M: Machine + ?Sized>(
+    f: &Function,
+    cfg: &Cfg,
+    profile: &Profile,
+    machine: &M,
+    cost: &CostModel,
+) -> FunctionModel {
+    let live = Liveness::new(f, cfg);
+    let analysis = analysis::analyze(f, cfg, &live, machine);
+    let built = build_model(f, cfg, profile, &analysis, machine, cost);
+    FunctionModel { analysis, built }
 }
 
 /// Build the integer program for `f`.

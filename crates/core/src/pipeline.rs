@@ -40,13 +40,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use regalloc_ilp::{solve_seeded_traced, Deadline, Incumbent, SolverConfig, SolverHealth, Status};
-use regalloc_ir::{verify_allocated, Cfg, Function, Liveness, LoopInfo, Profile};
+use regalloc_ir::{verify_allocated, Cfg, Function, LoopInfo, Profile};
 use regalloc_machine::{refuses, Machine};
 use regalloc_obs::{Event, Phase, Tracer};
 
 use crate::stats::SpillStats;
 use crate::symbolic::SymbolicSolution;
-use crate::{analysis, build, check, fallback, rewrite, warm, AllocError, CostModel};
+use crate::{build, check, fallback, rewrite, warm, AllocError, CostModel};
 
 /// The ladder position an allocation came from, best to worst.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
@@ -401,8 +401,8 @@ pub trait BaselineAllocator {
     ) -> Result<(Function, SpillStats), String>;
 }
 
-/// The fault-tolerant allocator: [`crate::IpAllocator`]'s pipeline wrapped
-/// in the validated degradation ladder described in the module docs.
+/// The allocator: build → solve → rewrite, wrapped in the validated
+/// degradation ladder described in the module docs.
 ///
 /// Interpreter-equivalence validation runs on the register file the
 /// machine model itself supplies ([`Machine::new_regfile`]), so the
@@ -576,6 +576,11 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
 
     /// Allocate registers for `f` through the degradation ladder.
     ///
+    /// Phase spans (build → solve → rewrite → verify → static-validate →
+    /// interp-check), model/demotion/acceptance events and the solver's
+    /// own search events land on `tracer`. A disabled tracer
+    /// ([`Tracer::off`]) costs one branch per hook.
+    ///
     /// # Errors
     ///
     /// * [`AllocError::WidthRefused`] — the function is not attempted on
@@ -584,63 +589,12 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
     ///   spill-everything fallback, failed to produce a validated
     ///   allocation. Unreachable on the provided machine models unless a
     ///   fault plan sabotages the fallback itself.
-    pub fn allocate(&self, f: &Function) -> Result<RobustOutcome, AllocError> {
-        self.allocate_traced(f, &Tracer::off())
-    }
-
-    /// [`RobustAllocator::allocate`] with a trace recorder: phase spans
-    /// (build → solve → rewrite → verify → static-validate →
-    /// interp-check), model/demotion/acceptance events and the solver's
-    /// own search events land on `tracer`. A disabled tracer costs one
-    /// branch per hook.
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustAllocator::allocate`].
-    pub fn allocate_traced(
-        &self,
-        f: &Function,
-        tracer: &Tracer,
-    ) -> Result<RobustOutcome, AllocError> {
+    pub fn allocate(&self, f: &Function, tracer: &Tracer) -> Result<RobustOutcome, AllocError> {
         if refuses(self.machine, f) {
             return Err(AllocError::WidthRefused);
         }
         let cfg = Cfg::new(f);
-        let loops = LoopInfo::new(f, &cfg);
-        let profile = Profile::estimate(f, &cfg, &loops);
-        self.allocate_with_profile_traced(f, &cfg, &profile, tracer)
-    }
-
-    /// Allocate with an externally supplied profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustAllocator::allocate`].
-    pub fn allocate_with_profile(
-        &self,
-        f: &Function,
-        cfg: &Cfg,
-        profile: &Profile,
-    ) -> Result<RobustOutcome, AllocError> {
-        self.allocate_with_profile_traced(f, cfg, profile, &Tracer::off())
-    }
-
-    /// [`RobustAllocator::allocate_with_profile`] with a trace recorder
-    /// (see [`RobustAllocator::allocate_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustAllocator::allocate`].
-    pub fn allocate_with_profile_traced(
-        &self,
-        f: &Function,
-        cfg: &Cfg,
-        profile: &Profile,
-        tracer: &Tracer,
-    ) -> Result<RobustOutcome, AllocError> {
-        if refuses(self.machine, f) {
-            return Err(AllocError::WidthRefused);
-        }
+        let profile = &Profile::estimate(f, &cfg, &LoopInfo::new(f, &cfg));
         let deadline = Deadline::after(self.budget);
         let mut demotions: Vec<Demotion> = Vec::new();
         let mut health = SolverHealth::default();
@@ -663,12 +617,10 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
             let _s = tracer.span(Phase::Build);
             catch_unwind(AssertUnwindSafe(|| {
                 assert!(!faults.panic_in_build, "fault injection: panic_in_build");
-                let live = Liveness::new(f, cfg);
-                let analysis = analysis::analyze(f, cfg, &live, self.machine);
-                let built =
-                    build::build_model(f, cfg, profile, &analysis, self.machine, &self.cost);
-                let warm = warm::spill_everything_assignment(f, &analysis, &built, self.machine);
-                (analysis, built, warm)
+                let fm = build::build_profiled(f, &cfg, profile, self.machine, &self.cost);
+                let warm =
+                    warm::spill_everything_assignment(f, &fm.analysis, &fm.built, self.machine);
+                (fm, warm)
             }))
         };
         let build_time = t0.elapsed();
@@ -727,7 +679,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         }
 
         let model_rungs = match built_parts {
-            Ok(parts) => Some(parts),
+            Ok((fm, warm)) => Some((fm.analysis, fm.built, warm)),
             Err(e) => {
                 let msg = panic_msg(e);
                 for rung in [Rung::IpOptimal, Rung::IpIncumbent, Rung::WarmStart] {

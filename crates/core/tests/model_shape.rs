@@ -1,14 +1,13 @@
 //! White-box tests of the constructed integer program: the §5 extensions
 //! must be visible in the model's structure, not just its solutions.
 
-use regalloc_core::IpAllocator;
+use regalloc_core::build::{build_function, BuiltModel};
+use regalloc_core::CostModel;
 use regalloc_ir::{BinOp, Dst, Function, FunctionBuilder, Inst, Operand, UnOp, Width};
 use regalloc_x86::{RiscMachine, X86Machine};
 
-fn x86_model(f: &Function) -> regalloc_core::build::BuiltModel {
-    IpAllocator::new(&X86Machine::pentium())
-        .build_only(f)
-        .expect("attempted")
+fn x86_model(f: &Function) -> BuiltModel {
+    build_function(f, &X86Machine::pentium(), &CostModel::paper()).built
 }
 
 #[test]
@@ -78,9 +77,7 @@ fn risc_model_has_no_two_address_machinery() {
     b.bin(BinOp::Add, z, Operand::sym(x), Operand::sym(y));
     b.ret(Some(z));
     let f = b.finish();
-    let built = IpAllocator::new(&RiscMachine::new())
-        .build_only(&f)
-        .unwrap();
+    let built = build_function(&f, &RiscMachine::new(), &CostModel::paper()).built;
     assert!(
         built
             .events
@@ -171,9 +168,7 @@ fn constraint_count_scales_with_register_file() {
     b.ret(Some(y));
     let f = b.finish();
     let bx = x86_model(&f);
-    let br = IpAllocator::new(&RiscMachine::new())
-        .build_only(&f)
-        .unwrap();
+    let br = build_function(&f, &RiscMachine::new(), &CostModel::paper()).built;
     assert!(br.model.num_vars() > 2 * bx.model.num_vars());
     assert!(br.model.num_rows() > bx.model.num_rows());
 }

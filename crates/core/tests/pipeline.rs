@@ -7,6 +7,7 @@ use std::time::Duration;
 use regalloc_core::pipeline::BaselineAllocator;
 use regalloc_core::{FaultPlan, ReasonCode, RobustAllocator, Rung, SpillStats};
 use regalloc_ir::{verify_allocated, BinOp, Function, FunctionBuilder, Operand, Profile, Width};
+use regalloc_obs::Tracer;
 use regalloc_x86::X86Machine;
 
 fn sample() -> Function {
@@ -31,7 +32,7 @@ fn robust(m: &X86Machine) -> RobustAllocator<'_, X86Machine> {
 fn clean_run_lands_on_the_optimal_rung() {
     let m = X86Machine::pentium();
     let f = sample();
-    let out = robust(&m).allocate(&f).unwrap();
+    let out = robust(&m).allocate(&f, &Tracer::off()).unwrap();
     assert_eq!(out.report.rung, Rung::IpOptimal);
     assert!(
         out.report.demotions.is_empty(),
@@ -52,7 +53,7 @@ fn forced_timeout_demotes_to_warm_start_with_reason() {
             force_timeout: true,
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     assert_eq!(out.report.rung, Rung::WarmStart);
     assert!(
@@ -78,7 +79,7 @@ fn panic_in_build_is_isolated_and_reaches_spill_all() {
             panic_in_build: true,
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     assert_eq!(out.report.rung, Rung::SpillAll);
     for rung in [Rung::IpOptimal, Rung::IpIncumbent, Rung::WarmStart] {
@@ -109,7 +110,7 @@ fn panic_in_rewrite_is_isolated() {
             panic_in_rewrite: true,
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     // Every solver-derived rung rewrites through the faulty path, so the
     // ladder must land below them.
@@ -138,7 +139,7 @@ fn corrupted_solution_is_caught_by_validation() {
             corrupt_solution: Some(0xbad5eed),
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     // The warm-start vector is not corrupted, so the ladder stops there;
     // the IP rung's bit-flipped solution must have been rejected either
@@ -164,7 +165,10 @@ fn corrupted_solution_is_caught_by_validation() {
 fn zero_budget_still_emits_validated_code() {
     let m = X86Machine::pentium();
     let f = sample();
-    let out = robust(&m).with_budget(Duration::ZERO).allocate(&f).unwrap();
+    let out = robust(&m)
+        .with_budget(Duration::ZERO)
+        .allocate(&f, &Tracer::off())
+        .unwrap();
     assert!(out.report.rung >= Rung::WarmStart);
     assert!(out.report.degraded());
     verify_allocated(&out.func).unwrap();
@@ -215,7 +219,7 @@ fn failing_baseline_demotes_to_spill_all() {
             panic_in_build: true,
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     assert_eq!(out.report.rung, Rung::SpillAll);
     assert!(out.report.demotions.iter().any(|d| d.from == Rung::Coloring
@@ -235,7 +239,7 @@ fn panicking_baseline_is_isolated() {
             panic_in_build: true,
             ..FaultPlan::none()
         })
-        .allocate(&f)
+        .allocate(&f, &Tracer::off())
         .unwrap();
     assert_eq!(out.report.rung, Rung::SpillAll);
     assert!(out
@@ -261,7 +265,7 @@ fn every_fault_combination_survives() {
         };
         let out = robust(&m)
             .with_faults(plan)
-            .allocate(&f)
+            .allocate(&f, &Tracer::off())
             .unwrap_or_else(|e| panic!("plan {plan:?} failed: {e}"));
         verify_allocated(&out.func)
             .unwrap_or_else(|e| panic!("plan {plan:?} produced invalid code: {e:?}"));
@@ -275,7 +279,10 @@ fn every_fault_combination_survives() {
 fn audit_verifies_optimal_claims_end_to_end() {
     let m = X86Machine::pentium();
     let f = sample();
-    let out = robust(&m).with_audit(true).allocate(&f).unwrap();
+    let out = robust(&m)
+        .with_audit(true)
+        .allocate(&f, &Tracer::off())
+        .unwrap();
     assert_eq!(
         out.report.rung,
         Rung::IpOptimal,
@@ -297,8 +304,11 @@ fn audit_verifies_optimal_claims_end_to_end() {
 fn audit_does_not_change_the_allocation() {
     let m = X86Machine::pentium();
     let f = sample();
-    let plain = robust(&m).allocate(&f).unwrap();
-    let audited = robust(&m).with_audit(true).allocate(&f).unwrap();
+    let plain = robust(&m).allocate(&f, &Tracer::off()).unwrap();
+    let audited = robust(&m)
+        .with_audit(true)
+        .allocate(&f, &Tracer::off())
+        .unwrap();
     assert_eq!(plain.report.rung, audited.report.rung);
     assert_eq!(plain.func, audited.func);
     assert_eq!(plain.stats.loads, audited.stats.loads);

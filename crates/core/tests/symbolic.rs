@@ -15,22 +15,14 @@ use rand::{Rng, SeedableRng};
 use regalloc_core::build::BuiltModel;
 use regalloc_core::warm::spill_everything_solution;
 use regalloc_core::{analysis, build, CostModel, EventDecision, RoleDecision, SymbolicSolution};
-use regalloc_ilp::{solve, SolverConfig, Status};
-use regalloc_ir::{
-    BinOp, Cfg, Cond, Function, FunctionBuilder, Liveness, LoopInfo, Operand, Profile, SymId, UnOp,
-    Width,
-};
+use regalloc_ilp::{solve_seeded, Deadline, Incumbent, SolverConfig, Status};
+use regalloc_ir::{BinOp, Cond, Function, FunctionBuilder, Operand, SymId, UnOp, Width};
 use regalloc_x86::X86Machine;
 
 /// Build the full model (plus its analysis) the way the allocator does.
 fn model(f: &Function, m: &X86Machine) -> (analysis::Analysis, BuiltModel) {
-    let cfg = Cfg::new(f);
-    let loops = LoopInfo::new(f, &cfg);
-    let profile = Profile::estimate(f, &cfg, &loops);
-    let live = Liveness::new(f, &cfg);
-    let a = analysis::analyze(f, &cfg, &live, m);
-    let built = build::build_model(f, &cfg, &profile, &a, m, &CostModel::paper());
-    (a, built)
+    let fm = build::build_function(f, m, &CostModel::paper());
+    (fm.analysis, fm.built)
 }
 
 /// A small random 32-bit function: a handful of symbolics, a parameter,
@@ -136,7 +128,11 @@ fn feasible_assignments(f: &Function, m: &X86Machine, built: &BuiltModel) -> Vec
         max_rows: 6_000,
         ..SolverConfig::default()
     };
-    let sol = solve(&built.model, &cfg, Some(&warm));
+    let seed = [Incumbent {
+        source: "spill",
+        values: warm.clone(),
+    }];
+    let sol = solve_seeded(&built.model, &cfg, &seed, Deadline::unlimited());
     if matches!(sol.status, Status::Optimal | Status::Feasible) {
         out.push(sol.values);
     }

@@ -1,9 +1,12 @@
 //! Mixed-width end-to-end allocations: 16-bit values engage the SI/DI and
 //! AX–DX classes and the §5.3 overlap sets.
 
-use regalloc_core::{check, IpAllocator};
+use regalloc_core::check;
 use regalloc_ir::{verify_allocated, BinOp, FunctionBuilder, Operand, UnOp, Width};
 use regalloc_x86::{X86Machine, X86RegFile};
+
+mod common;
+use common::{allocate_ip, ip};
 
 #[test]
 fn sixteen_bit_arithmetic() {
@@ -19,10 +22,10 @@ fn sixteen_bit_arithmetic() {
     b.ret(Some(r32));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = allocate_ip(&ip(&m), &f).unwrap();
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 21).unwrap();
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
 }
 
 #[test]
@@ -60,10 +63,10 @@ fn mixed_widths_share_families_without_conflict() {
     b.ret(Some(r));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = allocate_ip(&ip(&m), &f).unwrap();
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 22).unwrap();
-    assert!(out.solved, "mixed-width packing is feasible");
+    assert!(out.report.solved(), "mixed-width packing is feasible");
 }
 
 #[test]
@@ -80,7 +83,7 @@ fn shift_count_for_narrow_widths_uses_cl_family() {
     b.ret(Some(r));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = allocate_ip(&ip(&m), &f).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 23).unwrap();
     let count = out
         .func

@@ -24,7 +24,10 @@
 use std::time::{Duration, Instant};
 
 use regalloc_coloring::ColoringAllocator;
-use regalloc_core::{DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind};
+use regalloc_core::build::build_function;
+use regalloc_core::{
+    CostModel, DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind,
+};
 use regalloc_ir::{fingerprint, shape_vector, Function};
 use regalloc_machine::{function_size, refuses, Machine};
 use regalloc_obs::{Event, Metrics, Phase, Tracer, SIZE_BUCKETS, TIME_BUCKETS};
@@ -248,28 +251,23 @@ impl AllocationService {
                     match cert {
                         None => audit_stale = true,
                         Some(cert) => {
-                            let outcome =
-                                regalloc_core::IpAllocator::new(machine).build_only(f).map(
-                                    |built| regalloc_audit::audit_certificate(&built.model, &cert),
-                                );
-                            match outcome {
-                                Ok(a) if a.verdict == regalloc_audit::Verdict::Verified => {
-                                    tracer.event(|| Event::CertificateChecked {
-                                        leaves: a.leaves_checked,
-                                    });
-                                    hit_audit = Some(regalloc_core::AuditSummary {
-                                        verdict: a.verdict,
-                                        leaves: a.leaves_checked,
-                                        code: None,
-                                        diagnostics: Vec::new(),
-                                    });
-                                }
-                                Ok(a) => {
-                                    let code = a.primary_code().unwrap_or("unknown");
-                                    tracer.event(|| Event::CertificateRejected { code });
-                                    audit_rejected = true;
-                                }
-                                Err(_) => audit_stale = true,
+                            // `f` is not refused: that was checked above.
+                            let fm = build_function(f, machine, &CostModel::paper());
+                            let a = regalloc_audit::audit_certificate(&fm.built.model, &cert);
+                            if a.verdict == regalloc_audit::Verdict::Verified {
+                                tracer.event(|| Event::CertificateChecked {
+                                    leaves: a.leaves_checked,
+                                });
+                                hit_audit = Some(regalloc_core::AuditSummary {
+                                    verdict: a.verdict,
+                                    leaves: a.leaves_checked,
+                                    code: None,
+                                    diagnostics: Vec::new(),
+                                });
+                            } else {
+                                let code = a.primary_code().unwrap_or("unknown");
+                                tracer.event(|| Event::CertificateRejected { code });
+                                audit_rejected = true;
                             }
                         }
                     }
@@ -362,7 +360,7 @@ impl AllocationService {
         if let Some(faults) = &opts.faults {
             robust = robust.with_faults(*faults);
         }
-        let outcome = match robust.allocate_traced(f, tracer) {
+        let outcome = match robust.allocate(f, tracer) {
             Ok(out) => {
                 let ip_bytes = {
                     let _e = tracer.time(Phase::Encode);

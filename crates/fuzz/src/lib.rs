@@ -44,14 +44,16 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use regalloc_coloring::ColoringAllocator;
+use regalloc_core::build::build_function;
 use regalloc_core::pipeline::{FaultPlan, RobustAllocator, Rung};
-use regalloc_core::{check, fallback, AllocError, IpAllocator};
+use regalloc_core::{check, fallback, AllocError, CostModel};
 use regalloc_ilp::cert::{Certificate, Claim, Step};
 use regalloc_ilp::model::{Model, Sense};
-use regalloc_ilp::{SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
 use regalloc_ir::interp::mix64;
 use regalloc_ir::{Cfg, ExecOutcome, Function, Interp, InterpConfig, LoopInfo, Profile};
 use regalloc_machine::{refuses, Machine, TargetId};
+use regalloc_obs::Tracer;
 use regalloc_workloads::{fuzz_function, GenConfig};
 
 pub mod cgen;
@@ -237,7 +239,7 @@ pub fn run_rungs<M: Machine + ?Sized>(
         .with_equivalence(0, 0)
         .with_static_validation(false)
         .with_faults(faults);
-    let ip = match robust.allocate(f) {
+    let ip = match robust.allocate(f, &Tracer::off()) {
         Ok(out) => Some((out.func, out.report.rung)),
         Err(AllocError::WidthRefused) => None,
         Err(e) => return Err(format!("ip ladder failed: {e}")),
@@ -384,14 +386,15 @@ pub fn check_certificate<M: Machine + ?Sized>(
         viols: Vec::new(),
     };
     // Refused-width functions allocate nowhere; nothing is claimed.
-    let Ok(built) = IpAllocator::new(machine).build_only(f) else {
+    if refuses(machine, f) {
         return out;
-    };
+    }
+    let built = build_function(f, machine, &CostModel::paper()).built;
     let cfg = SolverConfig {
         emit_certificates: true,
         ..deterministic_solver()
     };
-    let sol = regalloc_ilp::solve(&built.model, &cfg, None);
+    let sol = solve_seeded(&built.model, &cfg, &[], Deadline::unlimited());
     if !matches!(sol.status, Status::Optimal | Status::Infeasible) {
         return out; // no proof claimed within the deterministic limits
     }
@@ -592,7 +595,7 @@ pub fn check_cross_target(
             .with_static_validation(false);
         // A ladder that degrades to exhaustion on one target is not a
         // cross-target disagreement; the per-target oracles own it.
-        if let Ok(out) = robust.allocate(f) {
+        if let Ok(out) = robust.allocate(f, &Tracer::off()) {
             allocs.push((t, out.func));
         }
     }

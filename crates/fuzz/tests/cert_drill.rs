@@ -4,10 +4,12 @@
 //! drill finding would mean a forged proof survived — an auditor blind
 //! spot — so the expected campaign outcome here is silence.
 
+use regalloc_core::build::build_function;
+use regalloc_core::CostModel;
 use regalloc_fuzz::{
     case_functions, check_certificate, perturb_certificate, run_campaign, CaseKind, FuzzConfig,
 };
-use regalloc_ilp::{solve, SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
 use regalloc_x86::X86Machine;
 
 fn drill_config(kind: CaseKind) -> FuzzConfig {
@@ -57,14 +59,15 @@ fn every_perturbation_kind_is_rejected() {
     let mut kinds_seen = std::collections::BTreeSet::new();
     for i in 0..cfg.cases {
         for f in case_functions(&cfg, i) {
-            let Ok(built) = regalloc_core::IpAllocator::new(&machine).build_only(&f) else {
+            if regalloc_machine::refuses(&machine, &f) {
                 continue;
-            };
+            }
+            let built = build_function(&f, &machine, &CostModel::paper()).built;
             let scfg = SolverConfig {
                 emit_certificates: true,
                 ..regalloc_fuzz::deterministic_solver()
             };
-            let sol = solve(&built.model, &scfg, None);
+            let sol = solve_seeded(&built.model, &scfg, &[], Deadline::unlimited());
             if sol.status != Status::Optimal {
                 continue;
             }

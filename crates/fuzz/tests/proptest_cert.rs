@@ -9,10 +9,11 @@
 
 use proptest::prelude::*;
 
+use regalloc_core::build::build_function;
 use regalloc_core::pipeline::RobustAllocator;
-use regalloc_core::IpAllocator;
+use regalloc_core::CostModel;
 use regalloc_fuzz::{deterministic_solver, perturb_certificate};
-use regalloc_ilp::{solve, SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
 use regalloc_obs::{Event, Phase, Tracer};
 use regalloc_workloads::{fuzz_function, GenConfig};
 use regalloc_x86::X86Machine;
@@ -36,12 +37,15 @@ fn proof_for(
             ..Default::default()
         },
     );
-    let built = IpAllocator::new(machine).build_only(&f).ok()?;
+    if regalloc_machine::refuses(machine, &f) {
+        return None;
+    }
+    let built = build_function(&f, machine, &CostModel::paper()).built;
     let cfg = SolverConfig {
         emit_certificates: true,
         ..deterministic_solver()
     };
-    let sol = solve(&built.model, &cfg, None);
+    let sol = solve_seeded(&built.model, &cfg, &[], Deadline::unlimited());
     matches!(sol.status, Status::Optimal | Status::Infeasible).then_some((built.model, sol))
 }
 
@@ -107,7 +111,7 @@ proptest! {
                 .with_budget(std::time::Duration::from_secs(300))
                 .with_equivalence(0, 0)
                 .with_audit(audit)
-                .allocate_traced(&f, &tracer);
+                .allocate(&f, &tracer);
             (out, tracer.finish("pt"))
         };
         let (plain, plain_trace) = run(false);

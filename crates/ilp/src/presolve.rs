@@ -39,57 +39,24 @@ pub struct PropRecorder {
     pub conflict: Option<Witness>,
 }
 
-/// Tighten `lb`/`ub` in place. Binary semantics: bounds only ever move to
-/// 0 or 1.
-pub fn propagate(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> Propagation {
-    let mut elims = 0;
-    propagate_impl(model, lb, ub, None, &mut elims)
-}
-
-/// [`propagate`] that also reports how many variable domains it narrowed
-/// (fixings applied plus min/max-activity deductions) — the flight
-/// recorder's `presolve_eliminations` counter. The tightening itself is
-/// bit-identical to [`propagate`].
+/// Tighten `lb`/`ub` in place and report how many variable domains
+/// were narrowed (fixings applied plus min/max-activity deductions) — the
+/// flight recorder's `presolve_eliminations` counter. Binary semantics:
+/// bounds only ever move to 0 or 1.
 pub fn propagate_counted(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> (Propagation, u64) {
-    let mut elims = 0;
-    let p = propagate_impl(model, lb, ub, None, &mut elims);
-    (p, elims)
+    propagate_recorded(model, lb, ub, None)
 }
 
-/// [`propagate`] with a deduction journal for certificate emission. The
-/// bound tightening is bit-identical to the unrecorded path; only the
-/// journal is extra.
+/// [`propagate_counted`] with an optional deduction journal for
+/// certificate emission. The bound tightening and the count are
+/// bit-identical with and without a recorder; only the journal is extra.
 pub fn propagate_recorded(
     model: &Model,
     lb: &mut [f64],
     ub: &mut [f64],
-    rec: &mut PropRecorder,
-) -> Propagation {
-    let mut elims = 0;
-    propagate_impl(model, lb, ub, Some(rec), &mut elims)
-}
-
-/// [`propagate_recorded`] that also returns the deduction count, so the
-/// certified and uncertified node paths feed the flight recorder the
-/// exact same `presolve_eliminations` numbers.
-pub fn propagate_recorded_counted(
-    model: &Model,
-    lb: &mut [f64],
-    ub: &mut [f64],
-    rec: &mut PropRecorder,
-) -> (Propagation, u64) {
-    let mut elims = 0;
-    let p = propagate_impl(model, lb, ub, Some(rec), &mut elims);
-    (p, elims)
-}
-
-fn propagate_impl(
-    model: &Model,
-    lb: &mut [f64],
-    ub: &mut [f64],
     mut rec: Option<&mut PropRecorder>,
-    elims: &mut u64,
-) -> Propagation {
+) -> (Propagation, u64) {
+    let mut elims = 0u64;
     // Apply declared fixings first.
     for j in 0..model.num_vars() {
         if let Some(v) = model.fixed(crate::model::VarId(j as u32)) {
@@ -98,10 +65,10 @@ fn propagate_impl(
                 if let Some(r) = rec.as_deref_mut() {
                     r.conflict = Some(Witness::Fix(j as u32));
                 }
-                return Propagation::Infeasible;
+                return (Propagation::Infeasible, elims);
             }
             if lb[j] < ub[j] {
-                *elims += 1; // the fixing actually narrowed a domain
+                elims += 1; // the fixing actually narrowed a domain
             }
             lb[j] = v;
             ub[j] = v;
@@ -133,13 +100,13 @@ fn propagate_impl(
                 if let Some(r) = rec.as_deref_mut() {
                     r.conflict = Some(Witness::Row(ri as u32));
                 }
-                return Propagation::Infeasible;
+                return (Propagation::Infeasible, elims);
             }
             if need_ge && max_act < row.rhs - 1e-7 {
                 if let Some(r) = rec.as_deref_mut() {
                     r.conflict = Some(Witness::Row(ri as u32));
                 }
-                return Propagation::Infeasible;
+                return (Propagation::Infeasible, elims);
             }
             // Per-variable implied bounds (binary rounding). Each
             // deduction is journalled with its justifying row: the
@@ -157,7 +124,7 @@ fn propagate_impl(
                     if *c > 0.0 && others_min + c > row.rhs + 1e-7 {
                         ub[j] = 0.0;
                         changed = true;
-                        *elims += 1;
+                        elims += 1;
                         if let Some(r) = rec.as_deref_mut() {
                             r.steps.push(Step::Deduce {
                                 row: ri as u32,
@@ -169,7 +136,7 @@ fn propagate_impl(
                         // x_j must contribute: x_j = 1.
                         lb[j] = 1.0;
                         changed = true;
-                        *elims += 1;
+                        elims += 1;
                         if let Some(r) = rec.as_deref_mut() {
                             r.steps.push(Step::Deduce {
                                 row: ri as u32,
@@ -185,7 +152,7 @@ fn propagate_impl(
                         // x_j must be 1 for the row to be satisfiable.
                         lb[j] = 1.0;
                         changed = true;
-                        *elims += 1;
+                        elims += 1;
                         if let Some(r) = rec.as_deref_mut() {
                             r.steps.push(Step::Deduce {
                                 row: ri as u32,
@@ -196,7 +163,7 @@ fn propagate_impl(
                     } else if *c < 0.0 && others_max + c < row.rhs - 1e-7 {
                         ub[j] = 0.0;
                         changed = true;
-                        *elims += 1;
+                        elims += 1;
                         if let Some(r) = rec.as_deref_mut() {
                             r.steps.push(Step::Deduce {
                                 row: ri as u32,
@@ -213,12 +180,12 @@ fn propagate_impl(
                     if let Some(r) = rec.as_deref_mut() {
                         r.conflict = Some(Witness::Row(ri as u32));
                     }
-                    return Propagation::Infeasible;
+                    return (Propagation::Infeasible, elims);
                 }
             }
         }
     }
-    Propagation::Ok
+    (Propagation::Ok, elims)
 }
 
 #[cfg(test)]
@@ -236,7 +203,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.fix(a, true);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!((lb[0], ub[0]), (1.0, 1.0));
     }
 
@@ -247,7 +214,10 @@ mod tests {
         m.fix(a, true);
         let mut lb = vec![0.0];
         let mut ub = vec![0.0]; // branched to 0
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Infeasible);
+        assert_eq!(
+            propagate_counted(&m, &mut lb, &mut ub).0,
+            Propagation::Infeasible
+        );
     }
 
     #[test]
@@ -256,7 +226,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.add_ge(vec![(a, 1.0)], 1.0);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb[0], 1.0);
     }
 
@@ -266,7 +236,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.add_le(vec![(a, 1.0)], 0.0);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(ub[0], 0.0);
     }
 
@@ -279,7 +249,7 @@ mod tests {
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 1.0);
         m.fix(b, false);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb[0], 1.0);
         assert_eq!(ub[1], 0.0);
     }
@@ -295,7 +265,7 @@ mod tests {
         m.add_le(vec![(x, 1.0), (d, -1.0)], 0.0);
         let mut lb = vec![1.0, 0.0, 0.0];
         let mut ub = vec![1.0, 1.0, 1.0];
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb, vec![1.0, 1.0, 1.0]);
     }
 
@@ -307,7 +277,10 @@ mod tests {
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 2.0);
         m.fix(a, false);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Infeasible);
+        assert_eq!(
+            propagate_counted(&m, &mut lb, &mut ub).0,
+            Propagation::Infeasible
+        );
     }
 
     #[test]
@@ -329,7 +302,8 @@ mod tests {
     }
 
     #[test]
-    fn counted_matches_uncounted_tightening() {
+    fn recorder_does_not_change_tightening() {
+        // u <= x, x <= d; branch u = 1 -> x = 1 -> d = 1.
         let mut m = Model::new();
         let u = m.add_var(0.0, "u");
         let x = m.add_var(0.0, "x");
@@ -340,11 +314,50 @@ mod tests {
         let mut ub1 = vec![1.0, 1.0, 1.0];
         let mut lb2 = lb1.clone();
         let mut ub2 = ub1.clone();
-        let p1 = propagate(&m, &mut lb1, &mut ub1);
-        let (p2, elims) = propagate_counted(&m, &mut lb2, &mut ub2);
+        let (p1, e1) = propagate_counted(&m, &mut lb1, &mut ub1);
+        let mut rec = PropRecorder::default();
+        let (p2, e2) = propagate_recorded(&m, &mut lb2, &mut ub2, Some(&mut rec));
         assert_eq!(p1, p2);
-        assert_eq!((lb1, ub1), (lb2, ub2), "counting never changes bounds");
-        assert_eq!(elims, 2, "x then d forced to 1");
+        assert_eq!((lb1, ub1), (lb2, ub2), "recording never changes bounds");
+        assert_eq!(e1, e2, "recording never changes the elimination count");
+        assert_eq!(e1, 2, "x then d forced to 1");
+        assert_eq!(
+            rec.steps,
+            vec![
+                Step::Deduce {
+                    row: 0,
+                    var: 1,
+                    value: true
+                },
+                Step::Deduce {
+                    row: 1,
+                    var: 2,
+                    value: true
+                },
+            ],
+            "each deduction is journalled with its justifying row"
+        );
+        assert_eq!(rec.conflict, None);
+
+        // An infeasible box: same verdict and count, plus the witness.
+        let mut m = Model::new();
+        let a = m.add_var(0.0, "a");
+        let b = m.add_var(0.0, "b");
+        m.add_ge(vec![(a, 1.0), (b, 1.0)], 2.0);
+        m.fix(a, false);
+        let (mut lb1, mut ub1) = free(2);
+        let (mut lb2, mut ub2) = free(2);
+        let (p1, e1) = propagate_counted(&m, &mut lb1, &mut ub1);
+        let mut rec = PropRecorder::default();
+        let (p2, e2) = propagate_recorded(&m, &mut lb2, &mut ub2, Some(&mut rec));
+        assert_eq!(
+            (&p1, e1),
+            (&Propagation::Infeasible, 1),
+            "fixing a narrowed one domain"
+        );
+        assert_eq!((p2, e2), (p1, e1));
+        assert_eq!((lb1, ub1), (lb2, ub2));
+        assert_eq!(rec.conflict, Some(Witness::Row(0)));
     }
 
     #[test]
@@ -356,7 +369,7 @@ mod tests {
         m.add_eq(vec![(a, 1.0), (b, 1.0)], 1.0);
         m.fix(a, true);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(ub[1], 0.0);
     }
 }

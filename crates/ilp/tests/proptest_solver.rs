@@ -2,7 +2,10 @@
 //! enumeration on small random models.
 
 use proptest::prelude::*;
-use regalloc_ilp::{solve, Model, SolverConfig, VarId};
+use regalloc_ilp::{
+    solve_seeded, solve_seeded_traced, Deadline, Incumbent, Model, SolverConfig, VarId,
+};
+use regalloc_obs::Tracer;
 
 /// A random constraint row: (coefficients, sense 0/1/2, rhs).
 type RandomRow = (Vec<(usize, i32)>, u8, i32);
@@ -69,7 +72,7 @@ proptest! {
     fn solver_matches_brute_force(m in small_model()) {
         let model = build(&m);
         let truth = brute_force(&model);
-        let sol = solve(&model, &SolverConfig::default(), None);
+        let sol = solve_seeded(&model, &SolverConfig::default(), &[], Deadline::unlimited());
         match truth {
             Some(obj) => {
                 prop_assert_eq!(sol.status, regalloc_ilp::Status::Optimal);
@@ -98,10 +101,36 @@ proptest! {
                 time_limit: std::time::Duration::from_millis(0),
                 ..Default::default()
             };
-            let sol = solve(&model, &cfg, Some(&warm));
+            let seed = [Incumbent { source: "warm", values: warm.clone() }];
+            let sol = solve_seeded(&model, &cfg, &seed, Deadline::unlimited());
             prop_assert!(sol.has_solution());
             prop_assert!(model.is_feasible(&sol.values));
             prop_assert!(sol.objective <= model.objective(&warm) + 1e-9);
         }
+    }
+
+    /// Certificate emission is pure observation: the same search, step
+    /// for step, with the proof recorded on the side. Guards the node
+    /// loop's single propagate call, whose recorder is armed only when
+    /// certificates are on.
+    #[test]
+    fn certificates_do_not_change_the_search(m in small_model()) {
+        let model = build(&m);
+        let run = |emit_certificates: bool| {
+            let cfg = SolverConfig { emit_certificates, ..Default::default() };
+            let tracer = Tracer::on();
+            let sol = solve_seeded_traced(&model, &cfg, &[], Deadline::unlimited(), &tracer);
+            (sol, tracer.finish("m").events)
+        };
+        let (plain, plain_events) = run(false);
+        let (certed, certed_events) = run(true);
+        prop_assert_eq!(plain.status, certed.status);
+        prop_assert_eq!(&plain.values, &certed.values);
+        prop_assert_eq!(plain.objective.to_bits(), certed.objective.to_bits());
+        prop_assert_eq!(plain.nodes, certed.nodes);
+        prop_assert_eq!(plain.lp_iters, certed.lp_iters);
+        prop_assert_eq!(&plain.health, &certed.health);
+        prop_assert_eq!(plain_events, certed_events);
+        prop_assert!(plain.certificate.is_none());
     }
 }

@@ -13,8 +13,9 @@
 
 use std::io::Read;
 
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, RobustAllocator};
 use precise_regalloc::ir::{parse_function, verify_function};
+use precise_regalloc::obs::Tracer;
 use precise_regalloc::x86::{verify_machine, X86Machine, X86RegFile};
 
 fn main() {
@@ -34,13 +35,18 @@ fn main() {
     verify_function(&f).unwrap_or_else(|e| panic!("ill-formed input: {e:?}"));
 
     let machine = X86Machine::pentium();
-    let out = IpAllocator::new(&machine)
-        .allocate(&f)
+    let out = RobustAllocator::new(&machine)
+        .allocate(&f, &Tracer::off())
         .expect("function uses 64-bit values");
+    let r = &out.report;
     println!("{}", out.func);
     eprintln!(
         "; {} constraints, {} vars; solved={}, optimal={}, {:?}",
-        out.num_constraints, out.num_vars, out.solved, out.solved_optimally, out.solve_time
+        r.num_constraints,
+        r.num_vars,
+        r.solved(),
+        r.solved_optimally(),
+        r.solve_time
     );
     eprintln!(
         "; spill overhead: {} loads, {} stores, {} remats, {} copies (net, profile-weighted)",

@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, RobustAllocator};
 use precise_regalloc::ir::{verify_allocated, BinOp, FunctionBuilder, Operand, Width};
+use precise_regalloc::obs::Tracer;
 use precise_regalloc::x86::{X86Machine, X86RegFile};
 
 fn main() {
@@ -27,19 +28,20 @@ fn main() {
     println!("== symbolic input ==\n{f}\n");
 
     let machine = X86Machine::pentium();
-    let out = IpAllocator::new(&machine)
-        .allocate(&f)
+    let out = RobustAllocator::new(&machine)
+        .allocate(&f, &Tracer::off())
         .expect("32-bit function is attempted");
+    let report = &out.report;
 
     println!("== allocated output ==\n{}\n", out.func);
     println!(
         "model: {} constraints, {} variables; solved={}, optimal={}, {} B&B nodes in {:?}",
-        out.num_constraints,
-        out.num_vars,
-        out.solved,
-        out.solved_optimally,
-        out.solver_nodes,
-        out.solve_time
+        report.num_constraints,
+        report.num_vars,
+        report.solved(),
+        report.solved_optimally(),
+        report.solver_nodes,
+        report.solve_time
     );
     println!(
         "spill overhead: {} loads, {} stores, {} remats, {} copies (net)",

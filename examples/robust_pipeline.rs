@@ -35,7 +35,9 @@ fn main() {
     let robust = RobustAllocator::new(&machine)
         .with_budget(Duration::from_secs(5))
         .with_baseline(&gc);
-    let out = robust.allocate(&f).expect("ladder always returns code");
+    let out = robust
+        .allocate(&f, &Tracer::off())
+        .expect("ladder always returns code");
     println!(
         "clean run:        {} via rung {} ({} demotions)",
         out.report.name,
@@ -54,7 +56,9 @@ fn main() {
             corrupt_solution: Some(0xbad5eed),
             ..FaultPlan::none()
         });
-    let out = faulty.allocate(&f).expect("ladder always returns code");
+    let out = faulty
+        .allocate(&f, &Tracer::off())
+        .expect("ladder always returns code");
     println!(
         "with faults:      {} via rung {}",
         out.report.name, out.report.rung

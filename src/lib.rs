@@ -23,6 +23,8 @@
 //!   scheduling),
 //! * [`lint`] — the static dataflow translation validator and
 //!   allocation-quality lint engine,
+//! * [`obs`] — span/event tracing (the [`obs::Tracer`] every allocation
+//!   takes) and metrics,
 //! * [`cc`] — a C-subset front end lowering real code to the textual IR,
 //! * [`fuzz`] — a seeded differential fuzzer cross-checking every
 //!   allocator against three oracles, with auto-minimized, replayable
@@ -51,12 +53,13 @@
 //! b.ret(Some(r));
 //! let f = b.finish();
 //!
-//! // Allocate with the IP allocator for the x86.
+//! // Allocate with the IP allocator for the x86. Every allocation is
+//! // validated before it is returned.
 //! let machine = X86Machine::pentium();
-//! let result = IpAllocator::new(&machine)
-//!     .allocate(&f)
+//! let result = RobustAllocator::new(&machine)
+//!     .allocate(&f, &Tracer::off())
 //!     .expect("allocation succeeds");
-//! assert!(result.solved_optimally);
+//! assert!(result.report.solved_optimally());
 //! ```
 
 pub use regalloc_cc as cc;
@@ -67,14 +70,16 @@ pub use regalloc_fuzz as fuzz;
 pub use regalloc_ilp as ilp;
 pub use regalloc_ir as ir;
 pub use regalloc_lint as lint;
+pub use regalloc_obs as obs;
 pub use regalloc_workloads as workloads;
 pub use regalloc_x86 as x86;
 
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use regalloc_coloring::ColoringAllocator;
-    pub use regalloc_core::{AllocOutcome, IpAllocator};
+    pub use regalloc_core::{RobustAllocator, RobustOutcome};
     pub use regalloc_ir::{Address, BinOp, Cond, Function, FunctionBuilder, Operand, SymId, Width};
+    pub use regalloc_obs::Tracer;
     pub use regalloc_workloads::{Benchmark, Suite};
     pub use regalloc_x86::X86Machine;
 }

@@ -9,16 +9,47 @@
 //! file.
 
 use precise_regalloc::coloring::ColoringAllocator;
-use precise_regalloc::core::{check, IpAllocator};
-use precise_regalloc::ir::verify_allocated;
+use precise_regalloc::core::{check, AllocError, ReasonCode, RobustAllocator, RobustOutcome};
+use precise_regalloc::ilp::SolverConfig;
+use precise_regalloc::ir::{verify_allocated, Function};
+use precise_regalloc::obs::Tracer;
 use precise_regalloc::workloads::{Benchmark, Suite};
-use precise_regalloc::x86::{X86Machine, X86RegFile};
+use precise_regalloc::x86::{Machine, X86Machine, X86RegFile};
+use std::time::Duration;
 
-fn regalloc_ilp_config(millis: u64) -> precise_regalloc::ilp::SolverConfig {
-    precise_regalloc::ilp::SolverConfig {
-        time_limit: std::time::Duration::from_millis(millis),
-        ..Default::default()
-    }
+/// The plain IP path with a `millis` solver budget: the ladder without
+/// interpreter or static validation (these tests run their own checks).
+fn ip<M: Machine + ?Sized>(machine: &M, millis: u64) -> RobustAllocator<'_, M> {
+    RobustAllocator::new(machine)
+        .with_solver_config(SolverConfig {
+            time_limit: Duration::from_millis(millis),
+            ..Default::default()
+        })
+        .with_equivalence(0, 0)
+        .with_static_validation(false)
+}
+
+/// Allocate `f` through `ip`. The ladder would quietly demote an IP rung
+/// that panics or emits structurally invalid code to a lower rung; here
+/// either is a test failure. A solver timeout still falls back to the
+/// warm start.
+fn allocate_ip<M: Machine + ?Sized>(
+    ip: &RobustAllocator<'_, M>,
+    f: &Function,
+) -> Result<RobustOutcome, AllocError> {
+    let out = ip.allocate(f, &Tracer::off())?;
+    let faults: Vec<_> = out
+        .report
+        .demotions
+        .iter()
+        .filter(|d| matches!(d.reason, ReasonCode::Panic | ReasonCode::ValidationFailed))
+        .collect();
+    assert!(
+        faults.is_empty(),
+        "{}: IP path failed: {faults:?}",
+        f.name()
+    );
+    Ok(out)
 }
 
 fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
@@ -26,20 +57,18 @@ fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
     // A small solver budget keeps the test suite fast; the warm start
     // guarantees an allocation regardless, and correctness is what these
     // tests check (the experiment harness uses the real budget).
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
+    let ip = ip(&machine, 300);
     let gc = ColoringAllocator::new(&machine);
     let suite = Suite::generate_scaled(benchmark, seed, scale);
     let mut attempted = 0;
     for f in &suite.functions {
         if f.uses_64bit() {
-            assert!(ip.allocate(f).is_err());
+            assert!(allocate_ip(&ip, f).is_err());
             assert!(gc.allocate(f).is_err());
             continue;
         }
         attempted += 1;
-        let out = ip
-            .allocate(f)
-            .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+        let out = allocate_ip(&ip, f).unwrap_or_else(|e| panic!("{}: {e}", f.name()));
         verify_allocated(&out.func).unwrap_or_else(|e| panic!("{}: {e:?}", f.name()));
         precise_regalloc::x86::verify_machine(&machine, &out.func)
             .unwrap_or_else(|e| panic!("IP machine verify {}: {e:?}\n{}", f.name(), out.func));
@@ -100,13 +129,13 @@ fn eqntott_sample_end_to_end() {
 fn risc_machine_end_to_end_sample() {
     use precise_regalloc::x86::{RiscMachine, RiscRegFile};
     let machine = RiscMachine::new();
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
+    let ip = ip(&machine, 300);
     let suite = Suite::generate_scaled(Benchmark::Compress, 21, 0.5);
     for f in &suite.functions {
         if f.uses_64bit() {
             continue;
         }
-        let out = ip.allocate(f).unwrap();
+        let out = allocate_ip(&ip, f).unwrap();
         verify_allocated(&out.func).unwrap();
         check::equivalent::<RiscRegFile>(f, &out.func, 3, 21)
             .unwrap_or_else(|e| panic!("RISC {}: {e}", f.name()));
@@ -119,7 +148,7 @@ fn ip_beats_or_ties_coloring_in_aggregate() {
     // overhead must be below the baseline's (the paper reports 36% of
     // the spill instructions, 61% less overhead).
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(500));
+    let ip = ip(&machine, 500);
     let gc = ColoringAllocator::new(&machine);
     let suite = Suite::generate_scaled(Benchmark::Espresso, 31, 0.08);
     let mut ip_cycles = 0i64;
@@ -128,11 +157,11 @@ fn ip_beats_or_ties_coloring_in_aggregate() {
         if f.uses_64bit() {
             continue;
         }
-        let a = ip.allocate(f).unwrap();
+        let a = allocate_ip(&ip, f).unwrap();
         let c = gc.allocate(f).unwrap();
         // Paper pipeline: unsolved functions keep the compiler's default
         // allocation (see DESIGN.md / EXPERIMENTS.md).
-        ip_cycles += if a.solved { a.stats } else { c.stats }.overhead_cycles();
+        ip_cycles += if a.report.solved() { a.stats } else { c.stats }.overhead_cycles();
         gc_cycles += c.stats.overhead_cycles();
     }
     assert!(

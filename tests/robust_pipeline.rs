@@ -13,6 +13,7 @@ use precise_regalloc::coloring::ColoringAllocator;
 use precise_regalloc::core::{FaultPlan, RobustAllocator, Rung};
 use precise_regalloc::ilp::SolverConfig;
 use precise_regalloc::ir::verify_allocated;
+use precise_regalloc::obs::Tracer;
 use precise_regalloc::workloads::{generate_function, GenConfig};
 use precise_regalloc::x86::X86Machine;
 
@@ -46,7 +47,7 @@ proptest! {
             .with_budget(Duration::from_secs(10))
             .with_equivalence(3, seed)
             .with_baseline(&gc);
-        let out = robust.allocate(&f);
+        let out = robust.allocate(&f, &Tracer::off());
         prop_assert!(out.is_ok(), "{:?}", out.err());
         let out = out.unwrap();
         prop_assert!(verify_allocated(&out.func).is_ok());
@@ -75,7 +76,7 @@ proptest! {
             .with_equivalence(2, seed)
             .with_faults(plan)
             .with_baseline(&gc);
-        let out = robust.allocate(&f);
+        let out = robust.allocate(&f, &Tracer::off());
         prop_assert!(out.is_ok(), "plan {:?}: {:?}", plan, out.err());
         let out = out.unwrap();
         prop_assert!(verify_allocated(&out.func).is_ok(), "plan {:?}", plan);

@@ -19,6 +19,7 @@ use precise_regalloc::core::{check, FaultPlan, ReasonCode, RobustAllocator};
 use precise_regalloc::driver::{run_suite, CacheMode, DriverConfig};
 use precise_regalloc::ilp::SolverConfig;
 use precise_regalloc::lint::{lint_allocation, sort_diagnostics, validate, Report};
+use precise_regalloc::obs::Tracer;
 use precise_regalloc::workloads::{generate_function, Benchmark, GenConfig, Suite};
 use precise_regalloc::x86::{X86Machine, X86RegFile};
 
@@ -58,7 +59,9 @@ fn corrupted_solutions_are_caught_statically() {
                     ..FaultPlan::none()
                 })
                 .with_baseline(&gc);
-            let out = robust.allocate(f).expect("ladder always emits code");
+            let out = robust
+                .allocate(f, &Tracer::off())
+                .expect("ladder always emits code");
             // A StaticValidationFailed demotion means the candidate had
             // already *passed* structural verification (it runs first):
             // the dataflow check alone caught the damage.
@@ -102,7 +105,9 @@ fn no_false_positives_on_clean_pipeline() {
                 .with_budget(Duration::from_secs(10))
                 .with_equivalence(2, 7)
                 .with_baseline(&gc);
-            let out = robust.allocate(f).expect("clean ladder emits code");
+            let out = robust
+                .allocate(f, &Tracer::off())
+                .expect("clean ladder emits code");
             let errs = validate(&machine, f, &out.func);
             assert!(
                 errs.is_empty(),
@@ -139,7 +144,7 @@ proptest! {
             .with_budget(Duration::from_secs(10))
             .with_equivalence(2, seed)
             .with_baseline(&gc);
-        let out = robust.allocate(&f);
+        let out = robust.allocate(&f, &Tracer::off());
         prop_assert!(out.is_ok(), "{:?}", out.err());
         let out = out.unwrap();
         let errs = validate(&machine, &f, &out.func);
