@@ -122,7 +122,7 @@ pub enum ReasonCode {
     /// ([`crate::check::equivalent`]).
     EquivalenceFailed,
     /// The candidate failed the static dataflow translation validator
-    /// ([`regalloc_lint::validate`]).
+    /// ([`regalloc_lint::validate()`]).
     StaticValidationFailed,
     /// The shared per-function deadline expired before this rung ran.
     DeadlineExceeded,
@@ -484,7 +484,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
     }
 
     /// Enable or disable the static dataflow translation validator
-    /// ([`regalloc_lint::validate`]) in candidate acceptance. On by
+    /// ([`regalloc_lint::validate()`]) in candidate acceptance. On by
     /// default; disabling leaves only structural verification and the
     /// (sampled) interpreter-equivalence check.
     pub fn with_static_validation(mut self, on: bool) -> Self {

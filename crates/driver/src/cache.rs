@@ -7,7 +7,7 @@
 //! content key so repeat runs are warm:
 //!
 //! * **Key** — FNV-1a over the function-body fingerprint
-//!   ([`regalloc_ir::fingerprint`], stable across processes and
+//!   ([`regalloc_ir::fingerprint()`], stable across processes and
 //!   print/parse round trips and independent of the function *name*),
 //!   chained with the machine-model name and every solver-configuration
 //!   field. Change any input and the key changes; rename a function and

@@ -4,7 +4,7 @@
 //! per-function solver budget (1024 s, Table 2): an embarrassingly
 //! parallel workload that the bench harness nevertheless ran one function
 //! at a time on one core. This crate turns the per-function
-//! [`RobustAllocator`] pipeline into a suite-level service:
+//! [`RobustAllocator`](regalloc_core::RobustAllocator) pipeline into a suite-level service:
 //!
 //! * a hand-rolled **work-stealing thread pool** ([`pool`]) shards the
 //!   suite across `jobs` workers;

@@ -7,8 +7,8 @@ use regalloc_obs::{Event, Phase, Tracer};
 use crate::cert::{Certificate, Claim, NodeCert, Step};
 use crate::health::{Deadline, HealthState, SolverHealth};
 use crate::model::Model;
-use crate::presolve::{propagate_counted, propagate_recorded, PropRecorder, Propagation};
-use crate::simplex::{solve_lp, solve_lp_with_duals, DualInfo, LpOutcome};
+use crate::presolve::{propagate_recorded, PropRecorder, Propagation};
+use crate::simplex::{solve_lp, LpOutcome};
 
 /// Solver configuration.
 #[derive(Clone, Debug)]
@@ -29,8 +29,8 @@ pub struct SolverConfig {
     /// Attach a [`Certificate`] to completed solves (proved
     /// [`Status::Optimal`] or [`Status::Infeasible`]) of integral-cost
     /// models. Emission is pure observation — the search path, events and
-    /// returned solution are bit-identical either way; it only costs one
-    /// extra dual extraction per node plus the recorded trails.
+    /// returned solution are bit-identical either way; it only costs the
+    /// recorded trails (every LP returns its duals regardless).
     pub emit_certificates: bool,
 }
 
@@ -176,26 +176,51 @@ fn note_health(tracer: &Tracer, prev: &mut HealthState, health: &SolverHealth) {
     }
 }
 
-/// LP-guided diving: repeatedly solve the relaxation, freeze the
-/// (nearly-)integral variables, and fix the least-fractional remaining
-/// variable to its nearest bound, until the point is integral or the
-/// dive dead-ends. A strong primal heuristic for these network-like
-/// models, whose LP optima are close to integral.
+/// One search step over the box `lb`/`ub`, shared by the dive and the
+/// node loop: timed bound propagation (journalled into `rec` when a
+/// certificate is being recorded), elimination accounting, then a timed
+/// LP relaxation. `None` means propagation refuted the box and no LP ran.
+#[allow(clippy::too_many_arguments)]
+fn node_step(
+    model: &Model,
+    lb: &mut [f64],
+    ub: &mut [f64],
+    rec: Option<&mut PropRecorder>,
+    cfg: &SolverConfig,
+    deadline: Deadline,
+    health: &mut SolverHealth,
+    tracer: &Tracer,
+) -> Option<LpOutcome> {
+    let (prop, elims) = {
+        let _t = tracer.time(Phase::Presolve);
+        propagate_recorded(model, lb, ub, rec)
+    };
+    health.presolve_eliminations += elims;
+    if prop == Propagation::Infeasible {
+        return None;
+    }
+    let _t = tracer.time(Phase::Simplex);
+    Some(solve_lp(model, lb, ub, cfg.lp_iter_limit, deadline, health))
+}
+
+/// LP-guided diving from the root box: repeatedly solve the relaxation,
+/// freeze the (nearly-)integral variables, and fix the least-fractional
+/// remaining variable to its nearest bound, until the point is integral
+/// or the dive dead-ends. A strong primal heuristic for these
+/// network-like models, whose LP optima are close to integral.
 ///
 /// Returns the candidate (if any) plus the simplex iterations the dive
 /// consumed and the deepest fix depth it reached, so the caller can
 /// attribute them to the solve totals and the flight recorder.
 fn dive(
     model: &Model,
-    lb0: &[f64],
-    ub0: &[f64],
     cfg: &SolverConfig,
     deadline: Deadline,
     health: &mut SolverHealth,
     tracer: &Tracer,
 ) -> (Option<(Vec<bool>, f64)>, u64, u64) {
-    let mut lb = lb0.to_vec();
-    let mut ub = ub0.to_vec();
+    let mut lb = vec![0.0; model.num_vars()];
+    let mut ub = vec![1.0; model.num_vars()];
     let mut iters = 0u64;
     // Variables explicitly fixed by the dive so far (backtracks re-fix at
     // the same depth rather than deepening it).
@@ -209,22 +234,11 @@ fn dive(
         if deadline.expired() {
             return (None, iters, depth);
         }
-        let feasible = {
-            let _t = tracer.time(Phase::Presolve);
-            let (p, elims) = propagate_counted(model, &mut lb, &mut ub);
-            health.presolve_eliminations += elims;
-            matches!(p, Propagation::Ok)
-        };
-        let lp = if feasible {
-            let _t = tracer.time(Phase::Simplex);
-            solve_lp(model, &lb, &ub, cfg.lp_iter_limit, deadline, health)
-        } else {
-            LpOutcome::Infeasible { iters: 0 }
-        };
-        iters += lp.iters();
+        let lp = node_step(model, &mut lb, &mut ub, None, cfg, deadline, health, tracer);
+        iters += lp.as_ref().map_or(0, LpOutcome::iters);
         let x = match lp {
-            LpOutcome::Optimal { x, .. } => x,
-            LpOutcome::Infeasible { .. } => {
+            Some(LpOutcome::Optimal { x, .. }) => x,
+            None | Some(LpOutcome::Infeasible { .. }) => {
                 // One-level backtrack: flip the last dive fix.
                 match retry.take() {
                     Some((plb, pub_, j, r)) if backtracks < 32 => {
@@ -238,7 +252,9 @@ fn dive(
                     _ => return (None, iters, depth),
                 }
             }
-            LpOutcome::Limit { .. } | LpOutcome::Numerical { .. } => return (None, iters, depth),
+            Some(LpOutcome::Limit { .. } | LpOutcome::Numerical { .. }) => {
+                return (None, iters, depth)
+            }
         };
         // Freeze everything already integral.
         let mut best: Option<(usize, f64)> = None; // least fractional
@@ -356,70 +372,21 @@ pub fn solve_seeded_traced(
     let mut nodes = 0u64;
     let mut lp_iters = 0u64;
     let integral = model.has_integral_costs();
-    let finish = |status: Status,
-                  best: Option<(Vec<bool>, f64)>,
-                  nodes: u64,
-                  lp_iters: u64,
-                  warm_start_only: bool,
-                  health: SolverHealth,
-                  certificate: Option<Certificate>| {
-        let solve_time = start.elapsed();
-        tracer.add_time(Phase::Solve, solve_time);
-        // Flight-recorder rollup: the always-on effort counters, emitted
-        // once per solve just before the outcome event.
-        tracer.event(|| Event::SolverCounters {
-            pivots: health.pivots,
-            degenerate_pivots: health.degenerate_pivots,
-            ratio_test_ties: health.ratio_test_ties,
-            presolve_eliminations: health.presolve_eliminations,
-            max_dive_depth: health.max_dive_depth,
-        });
-        tracer.event(|| Event::SolveDone {
-            status: status.name(),
-            nodes,
-            lp_iters,
-            warm_start_only,
-        });
-        tracer.event(|| Event::SpanEnd {
-            phase: Phase::Solve,
-        });
-        let (values, objective) = best.unwrap_or((Vec::new(), f64::INFINITY));
-        Solution {
-            status,
-            values,
-            objective,
-            nodes,
-            lp_iters,
-            warm_start_only,
-            incumbent_source,
-            solve_time,
-            health,
-            certificate,
-        }
-    };
+    let mut stack: Vec<Node> = Vec::new();
+    // True once any node had to be abandoned (LP limit/numerical), or the
+    // whole search was declined: the optimality proof is lost but
+    // incumbents remain valid.
+    let mut proof_lost = false;
 
     if model.num_rows() > cfg.max_rows {
-        let status = if best.is_some() {
-            Status::Feasible
-        } else {
-            Status::Unknown
-        };
-        return finish(status, best, 0, 0, warm_start_only, health, None);
-    }
-
-    // Primal dive from the root for a strong initial incumbent (the warm
-    // start, when provided, is typically a weak spill-everything bound).
-    {
+        // Declined: no dive and no search; the seeds are the answer.
+        proof_lost = true;
+    } else {
+        // Primal dive from the root for a strong initial incumbent (the
+        // warm start, when provided, is typically a weak spill-everything
+        // bound).
         let dive_deadline = deadline.earliest(Deadline::after(cfg.time_limit.mul_f64(0.8)));
-        let (dived, dive_iters, dive_depth) = dive(
-            model,
-            &vec![0.0; n],
-            &vec![1.0; n],
-            cfg,
-            dive_deadline,
-            &mut health,
-            tracer,
-        );
+        let (dived, dive_iters, dive_depth) = dive(model, cfg, dive_deadline, &mut health, tracer);
         lp_iters += dive_iters;
         health.max_dive_depth = health.max_dive_depth.max(dive_depth);
         note_health(tracer, &mut hstate, &health);
@@ -444,19 +411,15 @@ pub fn solve_seeded_traced(
                 source: "dive",
             });
         }
+        // Root node with declared fixings applied.
+        stack.push(Node {
+            lb: vec![0.0; n],
+            ub: vec![1.0; n],
+            steps: Vec::new(),
+            depth: 0,
+        });
     }
 
-    // Root node with declared fixings applied.
-    let root = Node {
-        lb: vec![0.0; n],
-        ub: vec![1.0; n],
-        steps: Vec::new(),
-        depth: 0,
-    };
-    let mut stack = vec![root];
-    // True once any node had to be abandoned (LP limit/numerical): the
-    // optimality proof is lost but incumbents remain valid.
-    let mut proof_lost = false;
     // Certificate emission: per-leaf claims with their root paths. Any
     // leaf that cannot be certified (or blowing the memory cap) drops the
     // whole certificate — never the solve.
@@ -465,28 +428,34 @@ pub fn solve_seeded_traced(
     let mut cert_mem: usize = 0;
     const CERT_MEM_CAP: usize = 4_000_000;
 
-    // Record `node`'s box as a certificate leaf with the given claim.
+    // Record `node`'s box as a certificate leaf with the given claim;
+    // `None` (no usable claim) drops the certificate.
     macro_rules! cert_leaf {
         ($node:expr, $claim:expr) => {{
             if cert_ok {
-                let claim: Claim = $claim;
-                cert_mem += $node.steps.len()
-                    + match &claim {
-                        Claim::Bound { duals } | Claim::Farkas { duals } => duals.len(),
-                        Claim::PropInfeasible { .. } => 0,
-                    };
-                if cert_mem > CERT_MEM_CAP {
-                    cert_ok = false;
-                    cert_leaves = Vec::new();
-                } else {
-                    cert_leaves.push(NodeCert {
+                let claim: Option<Claim> = $claim;
+                if let Some(claim) = &claim {
+                    cert_mem += $node.steps.len()
+                        + match claim {
+                            Claim::Bound { duals } | Claim::Farkas { duals } => duals.len(),
+                            Claim::PropInfeasible { .. } => 0,
+                        };
+                }
+                match claim {
+                    Some(claim) if cert_mem <= CERT_MEM_CAP => cert_leaves.push(NodeCert {
                         steps: $node.steps.clone(),
                         claim,
-                    });
+                    }),
+                    _ => {
+                        cert_ok = false;
+                        cert_leaves = Vec::new();
+                    }
                 }
             }
         }};
     }
+    // A multiplier vector is a usable claim only with one entry per row.
+    let full_duals = |duals: &[f64]| duals.len() == model.num_rows();
 
     while let Some(mut node) = stack.pop() {
         if deadline.expired() || nodes >= cfg.node_limit {
@@ -500,222 +469,158 @@ pub fn solve_seeded_traced(
             steps: std::mem::take(&mut node.steps),
             conflict: None,
         });
-        let (prop, elims) = {
-            let _t = tracer.time(Phase::Presolve);
-            propagate_recorded(model, &mut node.lb, &mut node.ub, rec.as_mut())
-        };
-        health.presolve_eliminations += elims;
-        if let Some(rec) = rec {
+        let lp = node_step(
+            model,
+            &mut node.lb,
+            &mut node.ub,
+            rec.as_mut(),
+            cfg,
+            deadline,
+            &mut health,
+            tracer,
+        );
+        let conflict = rec.and_then(|rec| {
             node.steps = rec.steps;
-            if prop == Propagation::Infeasible {
-                match rec.conflict {
-                    Some(witness) => cert_leaf!(node, Claim::PropInfeasible { witness }),
-                    None => cert_ok = false,
-                }
-            }
-        }
-        match prop {
-            Propagation::Infeasible => {
-                tracer.event(|| Event::Node {
-                    index: nodes,
-                    depth: node_depth,
-                    lp_iters: 0,
-                    outcome: "infeasible",
-                });
-                continue;
-            }
-            Propagation::Ok => {}
-        }
-
-        let mut dual = DualInfo::default();
-        let lp = {
-            let _t = tracer.time(Phase::Simplex);
-            solve_lp_with_duals(
-                model,
-                &node.lb,
-                &node.ub,
-                cfg.lp_iter_limit,
-                deadline,
-                &mut health,
-                cert_ok.then_some(&mut dual),
-            )
-        };
+            rec.conflict
+        });
         // Attribute this node's simplex work whether or not the
         // relaxation produced a usable point — pruned and abandoned
         // nodes cost real iterations too.
-        let node_iters = lp.iters();
+        let node_iters = lp.as_ref().map_or(0, LpOutcome::iters);
         lp_iters += node_iters;
-        note_health(tracer, &mut hstate, &health);
-        let (x, obj) = match lp {
-            LpOutcome::Optimal { x, obj, .. } => (x, obj),
-            LpOutcome::Infeasible { .. } => {
-                if cert_ok {
-                    if dual.farkas && dual.y.len() == model.num_rows() {
-                        let duals = std::mem::take(&mut dual.y);
-                        cert_leaf!(node, Claim::Farkas { duals });
-                    } else {
-                        cert_ok = false;
-                    }
-                }
-                tracer.event(|| Event::Node {
-                    index: nodes,
-                    depth: node_depth,
-                    lp_iters: node_iters,
-                    outcome: "lp-infeasible",
-                });
-                continue;
-            }
-            LpOutcome::Limit { .. } | LpOutcome::Numerical { .. } => {
-                // Abandoning the node loses the optimality proof; the
-                // incumbent (if any) stays valid. Numerical trouble is
-                // already counted in `health` by the simplex layer.
-                proof_lost = true;
-                tracer.event(|| Event::Node {
-                    index: nodes,
-                    depth: node_depth,
-                    lp_iters: node_iters,
-                    outcome: "abandoned",
-                });
-                continue;
-            }
-        };
-        let have_duals = cert_ok && !dual.farkas && dual.y.len() == model.num_rows();
 
-        // Bound pruning (round up for integral costs, with slack scaled to
-        // the objective magnitude to absorb LP round-off).
-        let slack = 1e-6_f64.max(obj.abs() * 1e-9);
-        let bound = if integral { (obj - slack).ceil() } else { obj };
-        if let Some((_, inc)) = &best {
-            if bound >= *inc - 1e-9 {
-                if cert_ok {
-                    if have_duals {
-                        let duals = std::mem::take(&mut dual.y);
-                        cert_leaf!(node, Claim::Bound { duals });
-                    } else {
-                        cert_ok = false;
-                    }
+        let outcome = 'node: {
+            let Some(lp) = lp else {
+                cert_leaf!(
+                    node,
+                    conflict.map(|witness| Claim::PropInfeasible { witness })
+                );
+                break 'node "infeasible";
+            };
+            note_health(tracer, &mut hstate, &health);
+            let (x, obj, duals) = match lp {
+                LpOutcome::Optimal { x, obj, duals, .. } => (x, obj, duals),
+                LpOutcome::Infeasible { farkas, .. } => {
+                    cert_leaf!(
+                        node,
+                        full_duals(&farkas).then_some(Claim::Farkas { duals: farkas })
+                    );
+                    break 'node "lp-infeasible";
                 }
-                tracer.event(|| Event::Node {
-                    index: nodes,
-                    depth: node_depth,
-                    lp_iters: node_iters,
-                    outcome: "pruned",
-                });
-                continue;
-            }
-        }
+                LpOutcome::Limit { .. } | LpOutcome::Numerical { .. } => {
+                    // Abandoning the node loses the optimality proof; the
+                    // incumbent (if any) stays valid. Numerical trouble is
+                    // already counted in `health` by the simplex layer.
+                    proof_lost = true;
+                    break 'node "abandoned";
+                }
+            };
+            // Pruned and integral leaves both close their box with the
+            // LP's dual bound.
+            let bound_claim = full_duals(&duals).then_some(Claim::Bound { duals });
 
-        // Integral solution? Otherwise pick the branching variable:
-        // most costly first (driving the objective bound apart quickly),
-        // most fractional among equals.
-        let frac = x
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.fract().min(1.0 - v.fract()) > 1e-6)
-            .max_by(|(i, a), (j, b)| {
-                let ca = model.costs()[*i].abs();
-                let cb = model.costs()[*j].abs();
-                let fa = 0.5 - (a.fract() - 0.5).abs();
-                let fb = 0.5 - (b.fract() - 0.5).abs();
-                (ca, fa).partial_cmp(&(cb, fb)).unwrap()
-            });
-        match frac {
-            None => {
+            // Bound pruning (round up for integral costs, with slack
+            // scaled to the objective magnitude to absorb LP round-off).
+            let slack = 1e-6_f64.max(obj.abs() * 1e-9);
+            let bound = if integral { (obj - slack).ceil() } else { obj };
+            if let Some((_, inc)) = &best {
+                if bound >= *inc - 1e-9 {
+                    cert_leaf!(node, bound_claim);
+                    break 'node "pruned";
+                }
+            }
+
+            // Integral solution? Otherwise pick the branching variable:
+            // most costly first (driving the objective bound apart
+            // quickly), most fractional among equals.
+            let frac = x
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.fract().min(1.0 - v.fract()) > 1e-6)
+                .max_by(|(i, a), (j, b)| {
+                    let ca = model.costs()[*i].abs();
+                    let cb = model.costs()[*j].abs();
+                    let fa = 0.5 - (a.fract() - 0.5).abs();
+                    let fb = 0.5 - (b.fract() - 0.5).abs();
+                    (ca, fa).partial_cmp(&(cb, fb)).unwrap()
+                });
+            let Some((j, xj)) = frac else {
                 let cand = round_point(&x);
-                if model.is_feasible(&cand) {
-                    let co = model.objective(&cand);
-                    if best.as_ref().is_none_or(|(_, inc)| co < *inc - 1e-9) {
-                        best = Some((cand, co));
-                        tracer.event(|| Event::Incumbent {
-                            nodes,
-                            objective: co,
-                            source: "node",
-                        });
-                    }
-                    warm_start_only = false;
-                    // An integral leaf closes its box with the same dual
-                    // bound a prune would: the LP optimum here equals the
-                    // candidate's objective, which the final incumbent
-                    // (monotonically non-increasing) cannot exceed.
-                    if cert_ok {
-                        if have_duals {
-                            let duals = std::mem::take(&mut dual.y);
-                            cert_leaf!(node, Claim::Bound { duals });
-                        } else {
-                            cert_ok = false;
-                        }
-                    }
-                    tracer.event(|| Event::Node {
-                        index: nodes,
-                        depth: node_depth,
-                        lp_iters: node_iters,
-                        outcome: "integral",
-                    });
-                } else {
+                if !model.is_feasible(&cand) {
                     // Numerically integral LP point that fails the exact
                     // check: abandon the subtree's optimality claim.
                     proof_lost = true;
-                    cert_ok = false;
-                    tracer.event(|| Event::Node {
-                        index: nodes,
-                        depth: node_depth,
-                        lp_iters: node_iters,
-                        outcome: "integral-invalid",
+                    cert_leaf!(node, None);
+                    break 'node "integral-invalid";
+                }
+                let co = model.objective(&cand);
+                if best.as_ref().is_none_or(|(_, inc)| co < *inc - 1e-9) {
+                    best = Some((cand, co));
+                    tracer.event(|| Event::Incumbent {
+                        nodes,
+                        objective: co,
+                        source: "node",
+                    });
+                }
+                warm_start_only = false;
+                // An integral leaf closes its box with the same dual bound
+                // a prune would: the LP optimum here equals the
+                // candidate's objective, which the final incumbent
+                // (monotonically non-increasing) cannot exceed.
+                cert_leaf!(node, bound_claim);
+                break 'node "integral";
+            };
+            // Also try cheap rounding for an early incumbent.
+            if best.is_none() {
+                let cand = round_point(&x);
+                if model.is_feasible(&cand) {
+                    let co = model.objective(&cand);
+                    best = Some((cand, co));
+                    warm_start_only = false;
+                    tracer.event(|| Event::Incumbent {
+                        nodes,
+                        objective: co,
+                        source: "rounding",
                     });
                 }
             }
-            Some((j, xj)) => {
-                // Also try cheap rounding for an early incumbent.
-                if best.is_none() {
-                    let cand = round_point(&x);
-                    if model.is_feasible(&cand) {
-                        let co = model.objective(&cand);
-                        best = Some((cand, co));
-                        warm_start_only = false;
-                        tracer.event(|| Event::Incumbent {
-                            nodes,
-                            objective: co,
-                            source: "rounding",
-                        });
-                    }
-                }
-                // Branch: explore the rounded side first (pushed last).
-                let mut hi_side = Node {
-                    lb: node.lb.clone(),
-                    ub: node.ub.clone(),
-                    steps: Vec::new(),
-                    depth: node_depth + 1,
-                };
-                hi_side.lb[j] = 1.0;
-                let mut lo_side = node;
-                lo_side.ub[j] = 0.0;
-                lo_side.depth = node_depth + 1;
-                if cert_ok {
-                    hi_side.steps = lo_side.steps.clone();
-                    hi_side.steps.push(Step::Decision {
-                        var: j as u32,
-                        value: true,
-                    });
-                    lo_side.steps.push(Step::Decision {
-                        var: j as u32,
-                        value: false,
-                    });
-                }
-                if *xj >= 0.5 {
-                    stack.push(lo_side);
-                    stack.push(hi_side);
-                } else {
-                    stack.push(hi_side);
-                    stack.push(lo_side);
-                }
-                tracer.event(|| Event::Node {
-                    index: nodes,
-                    depth: node_depth,
-                    lp_iters: node_iters,
-                    outcome: "branched",
+            // Branch: explore the rounded side first (pushed last).
+            let mut hi_side = Node {
+                lb: node.lb.clone(),
+                ub: node.ub.clone(),
+                steps: Vec::new(),
+                depth: node_depth + 1,
+            };
+            hi_side.lb[j] = 1.0;
+            let mut lo_side = node;
+            lo_side.ub[j] = 0.0;
+            lo_side.depth = node_depth + 1;
+            if cert_ok {
+                hi_side.steps = lo_side.steps.clone();
+                hi_side.steps.push(Step::Decision {
+                    var: j as u32,
+                    value: true,
+                });
+                lo_side.steps.push(Step::Decision {
+                    var: j as u32,
+                    value: false,
                 });
             }
-        }
+            if *xj >= 0.5 {
+                stack.push(lo_side);
+                stack.push(hi_side);
+            } else {
+                stack.push(hi_side);
+                stack.push(lo_side);
+            }
+            "branched"
+        };
+        tracer.event(|| Event::Node {
+            index: nodes,
+            depth: node_depth,
+            lp_iters: node_iters,
+            outcome,
+        });
     }
 
     let status = match (&best, proof_lost || !stack.is_empty()) {
@@ -735,12 +640,45 @@ pub fn solve_seeded_traced(
         && matches!(status, Status::Optimal | Status::Infeasible))
     .then(|| Certificate {
         incumbent: best.clone(),
-        leaves: std::mem::take(&mut cert_leaves),
+        leaves: cert_leaves,
     });
     // A completed search that never replaced the warm start has *proved*
     // it optimal; that counts as the solver's own result.
-    let wso = warm_start_only && status != Status::Optimal;
-    finish(status, best, nodes, lp_iters, wso, health, certificate)
+    let warm_start_only = warm_start_only && status != Status::Optimal;
+
+    let solve_time = start.elapsed();
+    tracer.add_time(Phase::Solve, solve_time);
+    // Flight-recorder rollup: the always-on effort counters, emitted once
+    // per solve just before the outcome event.
+    tracer.event(|| Event::SolverCounters {
+        pivots: health.pivots,
+        degenerate_pivots: health.degenerate_pivots,
+        ratio_test_ties: health.ratio_test_ties,
+        presolve_eliminations: health.presolve_eliminations,
+        max_dive_depth: health.max_dive_depth,
+    });
+    tracer.event(|| Event::SolveDone {
+        status: status.name(),
+        nodes,
+        lp_iters,
+        warm_start_only,
+    });
+    tracer.event(|| Event::SpanEnd {
+        phase: Phase::Solve,
+    });
+    let (values, objective) = best.unwrap_or((Vec::new(), f64::INFINITY));
+    Solution {
+        status,
+        values,
+        objective,
+        nodes,
+        lp_iters,
+        warm_start_only,
+        incumbent_source,
+        solve_time,
+        health,
+        certificate,
+    }
 }
 
 #[cfg(test)]
@@ -1086,13 +1024,13 @@ mod tests {
                         Status::Optimal,
                         "trial {trial}: expected optimal, got {:?}\n{}",
                         s.status,
-                        m.to_lp_string()
+                        m.to_lp_format()
                     );
                     assert!(
                         (s.objective - bo).abs() < 1e-6,
                         "trial {trial}: obj {} vs brute {bo}\n{}",
                         s.objective,
-                        m.to_lp_string()
+                        m.to_lp_format()
                     );
                     assert!(m.is_feasible(&s.values));
                 }
@@ -1101,7 +1039,7 @@ mod tests {
                         s.status,
                         Status::Infeasible,
                         "trial {trial}: expected infeasible\n{}",
-                        m.to_lp_string()
+                        m.to_lp_format()
                     );
                 }
             }

@@ -6,14 +6,17 @@
 //!
 //! * a [`model`] layer for building 0-1 programs (binary variables with
 //!   costs, `≤`/`≥`/`=` linear constraints),
-//! * a light [`presolve`] pass (empty/redundant row elimination, forced
-//!   variable fixing),
+//! * a light [`presolve`] pass (bound propagation: declared fixings,
+//!   infeasible-row detection, and variables forced by row activity
+//!   bounds),
 //! * a bounded-variable two-phase primal [`simplex`] solver for the LP
-//!   relaxation, and
-//! * a depth-first [`branch`]-and-bound search with most-fractional
-//!   branching, integral-cost bound rounding, a warm-start incumbent
-//!   channel and a wall-clock time limit (the paper's per-function
-//!   1024-second limit maps onto [`SolverConfig::time_limit`]), and
+//!   relaxation, whose one entry point [`solve_lp`] returns the duals
+//!   with the outcome, and
+//! * a depth-first [`branch`]-and-bound search that branches on the
+//!   costliest fractional variable (most fractional among equal costs),
+//!   with integral-cost bound rounding, a warm-start incumbent channel
+//!   and a wall-clock time limit (the paper's per-function 1024-second
+//!   limit maps onto [`SolverConfig::time_limit`]), and
 //! * an optional proof [`cert`]ificate attached to completed searches
 //!   ([`SolverConfig::emit_certificates`]), independently re-checkable in
 //!   exact rational arithmetic by the `regalloc-audit` crate.
@@ -51,4 +54,4 @@ pub use cert::{Certificate, Claim, NodeCert, Step, Witness};
 pub use health::{Deadline, HealthState, SolverHealth};
 pub use model::{Model, Sense, VarId};
 pub use presolve::{propagate_counted, propagate_recorded, PropRecorder, Propagation};
-pub use simplex::{solve_lp, solve_lp_with_duals, DualInfo, LpOutcome};
+pub use simplex::{solve_lp, LpOutcome};

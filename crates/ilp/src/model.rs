@@ -269,36 +269,6 @@ impl Model {
         s.push_str("\nEnd\n");
         s
     }
-
-    /// Render the model in an LP-like text format (debugging aid).
-    pub fn to_lp_string(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        s.push_str("min ");
-        for (i, c) in self.costs.iter().enumerate() {
-            if *c != 0.0 {
-                let _ = write!(s, "{c:+} {} ", self.names[i]);
-            }
-        }
-        s.push_str("\ns.t.\n");
-        for row in &self.rows {
-            for (v, c) in &row.coeffs {
-                let _ = write!(s, "{c:+} {} ", self.names[v.index()]);
-            }
-            let op = match row.sense {
-                Sense::Le => "<=",
-                Sense::Ge => ">=",
-                Sense::Eq => "=",
-            };
-            let _ = writeln!(s, "{op} {}", row.rhs);
-        }
-        for (i, f) in self.fixed.iter().enumerate() {
-            if let Some(v) = f {
-                let _ = writeln!(s, "{} = {}", self.names[i], *v as u8);
-            }
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -386,15 +356,5 @@ mod tests {
         assert!(lp.contains("Bounds"));
         assert!(lp.contains("x0 = 0"));
         assert!(lp.contains("Binaries"));
-    }
-
-    #[test]
-    fn lp_string_smoke() {
-        let mut m = Model::new();
-        let a = m.add_var(1.0, "a");
-        m.add_eq(vec![(a, 1.0)], 1.0);
-        let s = m.to_lp_string();
-        assert!(s.contains("min"));
-        assert!(s.contains("= 1"));
     }
 }

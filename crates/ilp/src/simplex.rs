@@ -15,6 +15,12 @@
 //! * basic values are recomputed from the basis inverse periodically to
 //!   bound drift.
 //!
+//! Duals ride on the outcome: [`solve_lp`] is the one entry point, and an
+//! optimal outcome carries the phase-2 multipliers while a phase-1
+//! infeasibility carries its Farkas multipliers — the raw material of a
+//! solver certificate (see [`crate::cert`]). Extraction is one `btran`
+//! after the last iteration, so the pivot sequence never depends on it.
+//!
 //! The dense basis inverse costs `O(m²)` memory and per-iteration time; the
 //! branch-and-bound driver guards against oversized models (as CPLEX's
 //! memory limits effectively did in the paper's experiments, where a few
@@ -42,6 +48,14 @@ const CYCLE_ABORT: u32 = 50_000;
 /// callers can attribute work even when the relaxation is abandoned —
 /// previously iterations on infeasible or aborted nodes simply vanished
 /// from the accounting.
+///
+/// The multiplier vectors (`duals`, `farkas`) have one entry per model
+/// row, clamped into the row's dual cone (`≤ 0` for `Le` rows, `≥ 0` for
+/// `Ge`, free for `Eq`) — clamping a float-noise sign violation to zero
+/// weakens the bound slightly but keeps it *valid*, which is what the
+/// exact checker verifies. They are empty when no multipliers exist: the
+/// crossed-bounds early exit never builds a tableau, and non-finite
+/// multipliers are discarded.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LpOutcome {
     /// An optimal basic solution was found.
@@ -52,9 +66,18 @@ pub enum LpOutcome {
         obj: f64,
         /// Simplex iterations used (both phases).
         iters: u64,
+        /// Phase-2 duals `y = c_Bᵀ B⁻¹`: a Lagrangian bound on the
+        /// relaxation over its `[lb, ub]` box.
+        duals: Vec<f64>,
     },
     /// The LP is infeasible (phase 1 could not reach zero infeasibility).
-    Infeasible { iters: u64 },
+    Infeasible {
+        /// Simplex iterations used (phase 1).
+        iters: u64,
+        /// Phase-1 duals: a Farkas combination of the rows that no point
+        /// of the `[lb, ub]` box satisfies.
+        farkas: Vec<f64>,
+    },
     /// The iteration limit was exceeded or the deadline passed.
     Limit { iters: u64 },
     /// Numerical trouble: NaN/Inf contamination, an unusable pivot, or
@@ -68,7 +91,7 @@ impl LpOutcome {
     pub fn iters(&self) -> u64 {
         match self {
             LpOutcome::Optimal { iters, .. }
-            | LpOutcome::Infeasible { iters }
+            | LpOutcome::Infeasible { iters, .. }
             | LpOutcome::Limit { iters }
             | LpOutcome::Numerical { iters } => *iters,
         }
@@ -81,23 +104,6 @@ enum StopReason {
     Optimal,
     Limit,
     Numerical,
-}
-
-/// Dual multipliers extracted from a solved relaxation, the raw material
-/// of a solver certificate (see [`crate::cert`]).
-///
-/// `y` has one entry per model row and is clamped into the row's dual
-/// cone (`≤ 0` for `Le` rows, `≥ 0` for `Ge`, free for `Eq`) — clamping
-/// a float-noise sign violation to zero weakens the bound slightly but
-/// keeps it *valid*, which is what the exact checker verifies. An empty
-/// `y` means no duals were available for the outcome.
-#[derive(Clone, Debug, Default)]
-pub struct DualInfo {
-    /// One multiplier per model row (empty when unavailable).
-    pub y: Vec<f64>,
-    /// True when `y` is a phase-1 infeasibility (Farkas) certificate
-    /// rather than an optimality bound.
-    pub farkas: bool,
 }
 
 /// Multipliers below this magnitude are numerical dust from the basis
@@ -113,10 +119,9 @@ const DUAL_DUST: f64 = 1e-12;
 /// non-finite contamination. Any sign-respecting multiplier vector is a
 /// valid dual witness, so both adjustments preserve certificate
 /// soundness — they can only weaken the bound by a negligible amount.
-fn clamp_duals(model: &Model, y: &mut Vec<f64>) {
+fn clamp_duals(model: &Model, mut y: Vec<f64>) -> Vec<f64> {
     if y.iter().any(|v| !v.is_finite()) {
-        y.clear();
-        return;
+        return Vec::new();
     }
     for (yi, row) in y.iter_mut().zip(model.rows()) {
         if yi.abs() < DUAL_DUST {
@@ -129,6 +134,7 @@ fn clamp_duals(model: &Model, y: &mut Vec<f64>) {
             Sense::Eq => {}
         }
     }
+    y
 }
 
 struct Tableau<'a> {
@@ -184,8 +190,8 @@ impl<'a> Tableau<'a> {
         let mut binv = vec![0.0; m * m];
 
         // Choose the starting basis row by row: the slack if its bounds
-        // admit the residual, otherwise an artificial.
-        let mut art_cols: Vec<(usize, f64)> = Vec::new(); // (row, sign)
+        // admit the residual, otherwise an artificial (appended after the
+        // n + m structural and slack columns, in row order).
         for ri in 0..m {
             let mut resid = b[ri];
             for (v, c) in &model.rows()[ri].coeffs {
@@ -203,12 +209,21 @@ impl<'a> Tableau<'a> {
                 let sb = if sb.is_finite() { sb } else { 0.0 };
                 x[s] = sb;
                 at_upper[s] = sb == hi[s] && lo[s] != hi[s];
+                // The artificial absorbs what the slack cannot:
+                // z = rho / sign = |rho|.
                 let rho = resid - sb;
-                art_cols.push((ri, rho.signum()));
+                let sign = rho.signum();
+                basis[ri] = cols.len();
+                cols.push(vec![(ri, sign)]);
+                lo.push(0.0);
+                hi.push(f64::INFINITY);
+                x.push(rho / sign);
+                at_upper.push(false);
+                in_basis.push(true);
+                binv[ri * m + ri] = 1.0 / sign;
             }
         }
-        let n_art_start = n + m;
-        let mut t = Tableau {
+        Tableau {
             model,
             cols,
             lo,
@@ -221,28 +236,10 @@ impl<'a> Tableau<'a> {
             b,
             m,
             n_struct: n,
-            n_art_start,
+            n_art_start: n + m,
             iters: 0,
             last_refactor: 0,
-        };
-        for (ri, sign) in art_cols {
-            let ai = t.cols.len();
-            t.cols.push(vec![(ri, sign)]);
-            t.lo.push(0.0);
-            t.hi.push(f64::INFINITY);
-            // z = rho / sign = |rho|
-            let mut resid = t.b[ri];
-            for (v, c) in &t.model.rows()[ri].coeffs {
-                resid -= c * t.x[v.index()];
-            }
-            resid -= t.x[t.n_struct + ri];
-            t.x.push(resid / sign);
-            t.at_upper.push(false);
-            t.in_basis.push(true);
-            t.basis[ri] = ai;
-            t.binv[ri * t.m + ri] = 1.0 / sign;
         }
-        t
     }
 
     fn num_vars(&self) -> usize {
@@ -282,8 +279,8 @@ impl<'a> Tableau<'a> {
         d
     }
 
-    /// Recompute basic values from scratch: x_B = B⁻¹ (b − N x_N).
-    fn refresh_basics(&mut self) {
+    /// Basic values from the current inverse: x_B = B⁻¹ (b − N x_N).
+    fn recompute_basics(&mut self) {
         let mut rhs = self.b.clone();
         for j in 0..self.num_vars() {
             if !self.in_basis[j] && self.x[j] != 0.0 {
@@ -297,44 +294,45 @@ impl<'a> Tableau<'a> {
             let v: f64 = row.iter().zip(&rhs).map(|(bv, rv)| bv * rv).sum();
             self.x[self.basis[i]] = v;
         }
+    }
+
+    /// Recompute basic values from scratch, rebuilding B⁻¹ first when
+    /// drift has set in.
+    fn refresh_basics(&mut self) {
+        self.recompute_basics();
         // Drift probe: the product-form updates of B⁻¹ accumulate error;
         // when the recomputed point no longer satisfies A x = b to a
         // scaled tolerance, rebuild B⁻¹ from the basis.
-        let mut resid: f64 = 0.0;
-        for (ri, row) in self.model.rows().iter().enumerate() {
-            let mut v = self.x[self.n_struct + ri]; // slack
+        let mut act: Vec<f64> = self.x[self.n_struct..self.n_art_start].to_vec(); // slacks
+        for (a, row) in act.iter_mut().zip(self.model.rows()) {
             for (var, c) in &row.coeffs {
-                v += c * self.x[var.index()];
+                *a += c * self.x[var.index()];
             }
-            for j in self.n_art_start..self.num_vars() {
-                // Artificial columns are singletons; only the matching row
-                // contributes.
-                if let Some(&(r2, c)) = self.cols[j].first() {
-                    if r2 == ri {
-                        v += c * self.x[j];
-                    }
-                }
-            }
-            resid = resid.max((v - self.b[ri]).abs());
         }
+        // Artificial columns are singletons, at most one per row.
+        let arts = self.n_art_start..self.num_vars();
+        for (col, xj) in self.cols[arts.clone()].iter().zip(&self.x[arts]) {
+            let (ri, c) = col[0];
+            act[ri] += c * xj;
+        }
+        let resid = act
+            .iter()
+            .zip(&self.b)
+            .fold(0.0_f64, |r, (a, b)| r.max((a - b).abs()));
         if resid > 1e-5 && self.iters >= self.last_refactor + 512 {
             self.last_refactor = self.iters;
             self.refactorize();
             // Recompute once more with the fresh inverse.
-            let mut rhs = self.b.clone();
-            for j in 0..self.num_vars() {
-                if !self.in_basis[j] && self.x[j] != 0.0 {
-                    for &(ri, c) in &self.cols[j] {
-                        rhs[ri] -= c * self.x[j];
-                    }
-                }
-            }
-            for i in 0..self.m {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                let v: f64 = row.iter().zip(&rhs).map(|(bv, rv)| bv * rv).sum();
-                self.x[self.basis[i]] = v;
-            }
+            self.recompute_basics();
         }
+    }
+
+    /// Multipliers `y = cᵦᵀ B⁻¹` for `costs`, clamped into the rows' dual
+    /// cones (see [`LpOutcome`]).
+    fn duals(&self, costs: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.m];
+        self.btran(costs, &mut y);
+        clamp_duals(self.model, y)
     }
 
     /// Rebuild B⁻¹ from the current basis by Gauss–Jordan elimination
@@ -633,6 +631,9 @@ impl<'a> Tableau<'a> {
 /// whole solve). Health counters accumulate into `health`; an abandoned
 /// relaxation (limit, deadline or numerical trouble) also bumps
 /// [`SolverHealth::lp_aborts`].
+///
+/// An [`LpOutcome::Optimal`] carries its phase-2 duals and an
+/// [`LpOutcome::Infeasible`] its phase-1 Farkas multipliers.
 pub fn solve_lp(
     model: &Model,
     lb: &[f64],
@@ -641,36 +642,14 @@ pub fn solve_lp(
     deadline: Deadline,
     health: &mut SolverHealth,
 ) -> LpOutcome {
-    solve_lp_with_duals(model, lb, ub, iter_limit, deadline, health, None)
-}
-
-/// [`solve_lp`], optionally extracting dual multipliers into `duals`.
-///
-/// On [`LpOutcome::Optimal`] the phase-2 duals `y = c_Bᵀ B⁻¹` are
-/// written (a Lagrangian bound on the relaxation); on
-/// [`LpOutcome::Infeasible`] the phase-1 duals are written with
-/// `farkas = true` (an exact checker can verify they refute the box).
-/// Other outcomes, and degenerate infeasibilities detected before the
-/// tableau exists, leave `duals.y` empty. Extraction is pure
-/// observation: the pivot sequence is identical with or without it.
-pub fn solve_lp_with_duals(
-    model: &Model,
-    lb: &[f64],
-    ub: &[f64],
-    iter_limit: u64,
-    deadline: Deadline,
-    health: &mut SolverHealth,
-    mut duals: Option<&mut DualInfo>,
-) -> LpOutcome {
     debug_assert_eq!(lb.len(), model.num_vars());
     debug_assert_eq!(ub.len(), model.num_vars());
-    if let Some(d) = duals.as_deref_mut() {
-        d.y.clear();
-        d.farkas = false;
-    }
     // Trivial infeasibility: crossed bounds.
     if lb.iter().zip(ub).any(|(l, u)| l > u) {
-        return LpOutcome::Infeasible { iters: 0 };
+        return LpOutcome::Infeasible {
+            iters: 0,
+            farkas: Vec::new(),
+        };
     }
     // NaN bounds poison every comparison downstream; report rather than
     // propagate.
@@ -705,13 +684,10 @@ pub fn solve_lp_with_duals(
             return abort(StopReason::Numerical, t.iters, health);
         }
         if infeas > 1e-6 {
-            if let Some(d) = duals.as_deref_mut() {
-                d.y = vec![0.0; t.m];
-                t.btran(&costs, &mut d.y);
-                clamp_duals(model, &mut d.y);
-                d.farkas = true;
-            }
-            return LpOutcome::Infeasible { iters: t.iters };
+            return LpOutcome::Infeasible {
+                iters: t.iters,
+                farkas: t.duals(&costs),
+            };
         }
         // Pin artificials to zero for phase 2.
         for j in t.n_art_start..t.num_vars() {
@@ -743,15 +719,11 @@ pub fn solve_lp_with_duals(
         health.nan_events += 1;
         return abort(StopReason::Numerical, t.iters, health);
     }
-    if let Some(d) = duals {
-        d.y = vec![0.0; t.m];
-        t.btran(&costs, &mut d.y);
-        clamp_duals(model, &mut d.y);
-    }
     LpOutcome::Optimal {
         x,
         obj,
         iters: t.iters,
+        duals: t.duals(&costs),
     }
 }
 
@@ -760,14 +732,21 @@ mod tests {
     use super::*;
     use crate::model::Model;
 
-    fn bounds(n: usize) -> (Vec<f64>, Vec<f64>) {
-        (vec![0.0; n], vec![1.0; n])
+    fn lp_in(model: &Model, lb: &[f64], ub: &[f64], iter_limit: u64) -> LpOutcome {
+        let mut health = SolverHealth::default();
+        solve_lp(
+            model,
+            lb,
+            ub,
+            iter_limit,
+            Deadline::unlimited(),
+            &mut health,
+        )
     }
 
     fn lp(model: &Model) -> LpOutcome {
-        let (lb, ub) = bounds(model.num_vars());
-        let mut health = SolverHealth::default();
-        solve_lp(model, &lb, &ub, 100_000, Deadline::unlimited(), &mut health)
+        let n = model.num_vars();
+        lp_in(model, &vec![0.0; n], &vec![1.0; n], 100_000)
     }
 
     #[test]
@@ -810,10 +789,13 @@ mod tests {
         let b = m.add_var(5.0, "b");
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 1.0);
         match lp(&m) {
-            LpOutcome::Optimal { x, obj, .. } => {
+            LpOutcome::Optimal { x, obj, duals, .. } => {
                 assert!((x[0] - 1.0).abs() < 1e-6);
                 assert!(x[1].abs() < 1e-6);
                 assert!((obj - 1.0).abs() < 1e-6);
+                // Any price in [1, 5] (a's cost up to b's) gives the row
+                // a Lagrangian bound of exactly 1.
+                assert!(duals.len() == 1 && (1.0..=5.0).contains(&duals[0]));
             }
             o => panic!("unexpected {o:?}"),
         }
@@ -854,9 +836,10 @@ mod tests {
         let b = m.add_var(0.0, "b");
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 3.0);
         let out = lp(&m);
-        assert!(matches!(out, LpOutcome::Infeasible { .. }));
-        // Phase 1 had to run to prove infeasibility; the work is counted.
+        // Phase 1 had to run to prove infeasibility; the work is counted,
+        // and the `≥` row's Farkas multiplier is positive.
         assert!(out.iters() > 0, "iterations attributed: {out:?}");
+        assert!(matches!(&out, LpOutcome::Infeasible { farkas, .. } if farkas[0] > 0.0));
     }
 
     #[test]
@@ -866,16 +849,7 @@ mod tests {
         let a = m.add_var(-1.0, "a");
         let b = m.add_var(-1.0, "b");
         m.add_le(vec![(a, 1.0), (b, 1.0)], 2.0);
-        let lb = vec![0.0, 0.0];
-        let ub = vec![0.0, 1.0];
-        match solve_lp(
-            &m,
-            &lb,
-            &ub,
-            10_000,
-            Deadline::unlimited(),
-            &mut SolverHealth::default(),
-        ) {
+        match lp_in(&m, &[0.0, 0.0], &[0.0, 1.0], 10_000) {
             LpOutcome::Optimal { x, obj, .. } => {
                 assert!(x[0].abs() < 1e-6);
                 assert!((x[1] - 1.0).abs() < 1e-6);
@@ -890,15 +864,11 @@ mod tests {
         let mut m = Model::new();
         m.add_var(0.0, "a");
         assert_eq!(
-            solve_lp(
-                &m,
-                &[1.0],
-                &[0.0],
-                100,
-                Deadline::unlimited(),
-                &mut SolverHealth::default()
-            ),
-            LpOutcome::Infeasible { iters: 0 }
+            lp_in(&m, &[1.0], &[0.0], 100),
+            LpOutcome::Infeasible {
+                iters: 0,
+                farkas: Vec::new()
+            }
         );
     }
 
@@ -961,16 +931,6 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_var(-1.0, "a");
         m.add_le(vec![(a, 1.0)], 1.0);
-        assert_eq!(
-            solve_lp(
-                &m,
-                &[0.0],
-                &[1.0],
-                0,
-                Deadline::unlimited(),
-                &mut SolverHealth::default()
-            ),
-            LpOutcome::Limit { iters: 0 }
-        );
+        assert_eq!(lp_in(&m, &[0.0], &[1.0], 0), LpOutcome::Limit { iters: 0 });
     }
 }

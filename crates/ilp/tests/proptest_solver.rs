@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use regalloc_ilp::{
-    solve_seeded, solve_seeded_traced, Deadline, Incumbent, Model, SolverConfig, VarId,
+    solve_lp, solve_seeded, solve_seeded_traced, Deadline, Incumbent, LpOutcome, Model, Sense,
+    SolverConfig, SolverHealth, VarId,
 };
 use regalloc_obs::Tracer;
 
@@ -62,6 +63,41 @@ fn brute_force(model: &Model) -> Option<f64> {
         }
     }
     best
+}
+
+/// True when every multiplier respects its row's sign condition: `≤ 0`
+/// for `≤` rows, `≥ 0` for `≥` rows, free for `=` rows.
+fn in_dual_cone(model: &Model, y: &[f64]) -> bool {
+    y.len() == model.num_rows()
+        && y.iter().zip(model.rows()).all(|(yi, row)| match row.sense {
+            Sense::Le => *yi <= 0.0,
+            Sense::Ge => *yi >= 0.0,
+            Sense::Eq => yi.is_finite(),
+        })
+}
+
+/// The Lagrangian bound of `y` over the box `[lb, ub]`:
+/// `Σᵢ yᵢ·bᵢ + Σⱼ min over the box of dⱼ·xⱼ` with `dⱼ = cⱼ − Σᵢ yᵢ·aᵢⱼ`
+/// (costs dropped when `with_costs` is false — the Farkas form). For `y`
+/// in the dual cone it bounds every box point satisfying the rows.
+fn lagrangian(model: &Model, y: &[f64], lb: &[f64], ub: &[f64], with_costs: bool) -> f64 {
+    let mut d: Vec<f64> = if with_costs {
+        model.costs().to_vec()
+    } else {
+        vec![0.0; model.num_vars()]
+    };
+    let mut bound = 0.0;
+    for (yi, row) in y.iter().zip(model.rows()) {
+        bound += yi * row.rhs;
+        for (v, c) in &row.coeffs {
+            d[v.index()] -= yi * c;
+        }
+    }
+    bound
+        + d.iter()
+            .zip(lb.iter().zip(ub))
+            .map(|(dj, (l, u))| (dj * l).min(dj * u))
+            .sum::<f64>()
 }
 
 proptest! {
@@ -132,5 +168,33 @@ proptest! {
         prop_assert_eq!(&plain.health, &certed.health);
         prop_assert_eq!(plain_events, certed_events);
         prop_assert!(plain.certificate.is_none());
+    }
+
+    /// `solve_lp` returns its own duals: an optimal outcome's are in the
+    /// dual cone with a Lagrangian bound equal to the LP optimum, and an
+    /// infeasible outcome's Farkas multipliers refute the box.
+    #[test]
+    fn lp_outcomes_carry_valid_duals(m in small_model()) {
+        let model = build(&m);
+        let n = model.num_vars();
+        let (lb, ub) = (vec![0.0; n], vec![1.0; n]);
+        let mut health = SolverHealth::default();
+        match solve_lp(&model, &lb, &ub, 100_000, Deadline::unlimited(), &mut health) {
+            LpOutcome::Optimal { obj, duals, .. } => {
+                prop_assert!(in_dual_cone(&model, &duals), "duals {:?}", duals);
+                let bound = lagrangian(&model, &duals, &lb, &ub, true);
+                prop_assert!(bound <= obj + 1e-6, "bound {} above the optimum {}", bound, obj);
+                prop_assert!((bound - obj).abs() <= 1e-6, "bound {} vs optimum {}", bound, obj);
+            }
+            LpOutcome::Infeasible { farkas, .. } => {
+                prop_assert!(brute_force(&model).is_none());
+                if !farkas.is_empty() {
+                    prop_assert!(in_dual_cone(&model, &farkas), "farkas {:?}", farkas);
+                    let bound = lagrangian(&model, &farkas, &lb, &ub, false);
+                    prop_assert!(bound > 0.0, "Farkas bound {} does not refute the box", bound);
+                }
+            }
+            other => prop_assert!(false, "unexpected {:?}", other),
+        }
     }
 }

@@ -185,3 +185,48 @@ fn tracing_does_not_change_the_solution() {
     assert_eq!(cold.nodes, traced.nodes);
     assert_eq!(cold.lp_iters, traced.lp_iters);
 }
+
+#[test]
+fn declined_solve_emits_only_the_bookends() {
+    // More rows than `max_rows`: the solver declines before the dive and
+    // the node loop, so the seeds are the whole answer and the trace is
+    // the span, the seed verdicts and the final rollup — nothing else.
+    let mut m = Model::new();
+    let a = m.add_var(1.0, "a");
+    for _ in 0..10 {
+        m.add_ge(vec![(a, 1.0)], 1.0);
+    }
+    let cfg = SolverConfig {
+        max_rows: 5,
+        ..SolverConfig::default()
+    };
+    let seeds = vec![
+        Incumbent {
+            source: "spill",
+            values: vec![true],
+        },
+        Incumbent {
+            source: "short",
+            values: vec![],
+        },
+    ];
+    let tracer = Tracer::on();
+    let sol = solve_seeded_traced(&m, &cfg, &seeds, Deadline::unlimited(), &tracer);
+    let trace = tracer.finish("declined");
+    assert_eq!(sol.status, Status::Feasible);
+    assert_eq!((sol.nodes, sol.lp_iters), (0, 0));
+    assert!(sol.warm_start_only);
+    let kinds: Vec<&str> = trace.events.iter().map(Event::kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            "span-start",
+            "seed-accepted",
+            "seed-rejected",
+            "solver-counters",
+            "solve-done",
+            "span-end"
+        ]
+    );
+    assert_eq!(trace.solve_done(), Some(("feasible", 0, 0)));
+}

@@ -7,7 +7,7 @@
 //! obligation: a forward abstract interpretation over the allocated
 //! function shows, for every instruction on every control-flow path,
 //! that each operand reads the value the original pre-allocation function
-//! computed there (see [`validate`]). On the same dataflow facts a second
+//! computed there (see [`mod@validate`]). On the same dataflow facts a second
 //! layer reports allocation-quality lints — dead spill stores, redundant
 //! reloads, self-moves, in-loop spill ping-pong, unallocatable-width
 //! definitions (see [`lint_allocation`]).

@@ -736,7 +736,7 @@ pub fn fuzz_function(name: &str, seed: u64, cfg: &GenConfig) -> Function {
 ///
 /// The result has the same instruction/block/symbolic shape as `f` (its
 /// [`shape_vector`](regalloc_ir::shape_vector) is identical) but a
-/// different body [`fingerprint`](regalloc_ir::fingerprint) — the
+/// different body [`fingerprint`](regalloc_ir::fingerprint()) — the
 /// workload for exercising cross-function warm starts, where a cached
 /// solution must *project* rather than hit. Control flow is untouched:
 /// branch comparisons, arithmetic immediates and zero loop-counter
