@@ -643,11 +643,14 @@ impl SolutionCache {
         };
         match entry.realize() {
             Some(func) => {
-                let bytes = entry.serialize().len() as u64;
                 if from_disk {
                     self.mem.lock().unwrap().insert(key, entry.clone());
                 }
-                self.touch(key, bytes);
+                // Only a bounded cache tracks sizes; an unlimited one
+                // (the default) must not pay a serialization per hit.
+                if !self.limits.is_unlimited() {
+                    self.touch(key, entry.serialize().len() as u64);
+                }
                 Some(CachedAlloc { func, entry })
             }
             None => {

@@ -6,8 +6,9 @@
 //! at a time on one core. This crate turns the per-function
 //! [`RobustAllocator`](regalloc_core::RobustAllocator) pipeline into a suite-level service:
 //!
-//! * a hand-rolled **work-stealing thread pool** ([`pool`]) shards the
-//!   suite across `jobs` workers;
+//! * a hand-rolled **FIFO worker pool** ([`pool`]), the same one the
+//!   `regalloc-serve` daemon uses, runs one job per function on `jobs`
+//!   workers in the scheduler's order;
 //! * a **content-addressed solution cache** ([`cache`]) memoizes
 //!   allocations under a canonical hash of function body, machine model
 //!   and solver configuration, persisted on disk so repeat runs are
@@ -65,6 +66,7 @@ pub mod schedule;
 pub mod service;
 
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use regalloc_core::{ReasonCode, Rung, SpillStats, WarmStartKind};
@@ -74,6 +76,7 @@ use regalloc_machine::TargetId;
 use regalloc_obs::{jsonl_events, jsonl_timings, FunctionTrace, Metrics, Phase};
 
 use cache::CacheLimits;
+use pool::ServicePool;
 use schedule::BudgetGovernor;
 pub use service::{parse_functions, AllocationService, BudgetSource, FixedGrant, RequestOptions};
 
@@ -268,6 +271,41 @@ pub struct FunctionResult {
 }
 
 impl FunctionResult {
+    /// The result every outcome starts from: `f` not attempted, nothing
+    /// allocated, measured or granted. Each outcome sets only the fields
+    /// it knows.
+    pub(crate) fn new(f: &Function, estimate: usize) -> FunctionResult {
+        FunctionResult {
+            name: f.name().to_string(),
+            attempted: false,
+            func: None,
+            stats: SpillStats::default(),
+            rung: None,
+            reasons: Vec::new(),
+            num_constraints: 0,
+            num_vars: 0,
+            num_insts: f.num_insts(),
+            solver_nodes: 0,
+            lp_iters: 0,
+            solve_time: Duration::ZERO,
+            build_time: Duration::ZERO,
+            validate_time: Duration::ZERO,
+            health: SolverHealth::default(),
+            ip_bytes: 0,
+            cache_hit: false,
+            warm_start: WarmStartKind::None,
+            granted_budget: Duration::ZERO,
+            estimate,
+            task_time: Duration::ZERO,
+            lints: Vec::new(),
+            audit: None,
+            baseline: None,
+            trace: None,
+            metrics: Metrics::default(),
+            error: None,
+        }
+    }
+
     /// Table 2 "solved": an IP rung served the function.
     pub fn solved(&self) -> bool {
         matches!(self.rung, Some(Rung::IpOptimal) | Some(Rung::IpIncumbent))
@@ -362,38 +400,6 @@ pub struct SuiteOutcome {
     /// gauges. Counter and histogram totals here are the authoritative
     /// aggregates (the report tables derive from this registry).
     pub metrics: Metrics,
-}
-
-pub(crate) fn not_attempted(f: &Function, estimate: usize) -> FunctionResult {
-    FunctionResult {
-        name: f.name().to_string(),
-        attempted: false,
-        func: None,
-        stats: SpillStats::default(),
-        rung: None,
-        reasons: Vec::new(),
-        num_constraints: 0,
-        num_vars: 0,
-        num_insts: f.num_insts(),
-        solver_nodes: 0,
-        lp_iters: 0,
-        solve_time: Duration::ZERO,
-        build_time: Duration::ZERO,
-        validate_time: Duration::ZERO,
-        health: SolverHealth::default(),
-        ip_bytes: 0,
-        cache_hit: false,
-        warm_start: WarmStartKind::None,
-        granted_budget: Duration::ZERO,
-        estimate,
-        task_time: Duration::ZERO,
-        lints: Vec::new(),
-        audit: None,
-        baseline: None,
-        trace: None,
-        metrics: Metrics::default(),
-        error: None,
-    }
 }
 
 /// Render the suite's traces as JSONL: every function's deterministic
@@ -576,10 +582,7 @@ pub fn profile_report(out: &SuiteOutcome) -> String {
     if let Some(workers) = out.metrics.gauge("regalloc_pool_workers", &[]) {
         let _ = writeln!(
             s,
-            "pool: {workers} workers, {} steals, {:.3}s queued, {:.0}% utilized",
-            out.metrics
-                .gauge("regalloc_pool_steals", &[])
-                .unwrap_or(0.0),
+            "pool: {workers} workers, {:.3}s queued, {:.0}% utilized",
             out.metrics
                 .gauge("regalloc_pool_queue_wait_seconds", &[])
                 .unwrap_or(0.0),
@@ -600,21 +603,43 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
     // runs: entries stored *during* this run never donate, so warm-start
     // selection is independent of worker count and completion order (the
     // determinism guarantee above).
-    let svc = AllocationService::new(cfg.clone());
+    let svc = Arc::new(AllocationService::new(cfg.clone()));
     let sched = schedule::plan(funcs);
-    let governor = BudgetGovernor::new(
+    let governor = Arc::new(BudgetGovernor::new(
         cfg.global_budget,
         cfg.function_budget,
         cfg.jobs,
         funcs.len(),
-    );
+    ));
 
-    let run_one = |i: usize, f: &Function| -> FunctionResult {
-        svc.allocate_one(f, sched.estimates[i], &governor, &RequestOptions::default())
-    };
+    let n = funcs.len();
     let start = Instant::now();
-    let (results, pool_stats) = pool::run_indexed(cfg.jobs, funcs, &sched.order, run_one);
+    let pool = ServicePool::new(cfg.jobs.clamp(1, n.max(1)));
+    let (tx, rx) = mpsc::channel();
+    for &i in &sched.order {
+        let (svc, governor, tx) = (Arc::clone(&svc), Arc::clone(&governor), tx.clone());
+        let f = funcs[i].clone();
+        let estimate = sched.estimates[i];
+        pool.submit(move || {
+            let r = svc.allocate_one(&f, estimate, &*governor, &RequestOptions::default());
+            // The receiver outlives the pool, so the send cannot fail.
+            let _ = tx.send((i, r));
+        });
+    }
+    drop(tx);
+    let pool_stats = pool.shutdown();
     let wall_time = start.elapsed();
+    let mut slots: Vec<Option<FunctionResult>> = (0..n).map(|_| None).collect();
+    for (i, r) in rx {
+        slots[i] = Some(r);
+    }
+    // The pool isolates a panicking job; its missing result is re-raised
+    // here rather than returned as a short or misaligned vector.
+    let results: Vec<FunctionResult> = slots
+        .into_iter()
+        .zip(funcs)
+        .map(|(r, f)| r.unwrap_or_else(|| panic!("allocating `{}` panicked", f.name())))
+        .collect();
 
     let attempted = results.iter().filter(|r| r.attempted).count();
     let cache_hits = results.iter().filter(|r| r.cache_hit).count();
@@ -660,8 +685,6 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
     // are timing-class: they vary with worker count and scheduling, and
     // determinism consumers strip the whole `regalloc_pool_` prefix.
     metrics.set_gauge("regalloc_pool_workers", &[], pool_stats.busy.len() as f64);
-    let steals: usize = pool_stats.steals_per_worker.iter().sum();
-    metrics.set_gauge("regalloc_pool_steals", &[], steals as f64);
     let queue_wait: Duration = pool_stats.queue_wait_per_worker.iter().sum();
     metrics.set_gauge(
         "regalloc_pool_queue_wait_seconds",
@@ -680,11 +703,6 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
             "regalloc_pool_worker_tasks",
             labels,
             pool_stats.tasks_per_worker[w] as f64,
-        );
-        metrics.set_gauge(
-            "regalloc_pool_worker_steals",
-            labels,
-            pool_stats.steals_per_worker[w] as f64,
         );
         metrics.set_gauge(
             "regalloc_pool_worker_queue_wait_seconds",

@@ -1,264 +1,118 @@
-//! A hand-rolled work-stealing thread pool over `std::thread::scope`.
+//! The driver's one worker pool: long-lived threads serving a single
+//! FIFO queue of independent jobs.
 //!
 //! The workspace builds offline — no `rayon` — so the driver brings its
-//! own pool, specialised for the shape of a batch allocation run: the
-//! full task list is known up front, tasks are independent, and per-task
-//! cost varies by orders of magnitude (a five-instruction xlisp helper vs
-//! a cc1 tail function). The classic work-stealing layout fits:
+//! own pool. Both callers have the same shape: the paper allocates every
+//! function on its own, so a job never spawns or waits on another.
 //!
-//! * one double-ended queue per worker, seeded round-robin with the
-//!   caller's task order, so a cheapest-first schedule stays
-//!   cheapest-first within every worker;
-//! * a worker pops from the **front** of its own deque (preserving the
-//!   scheduler's order locally) and, when empty, steals from the **back**
-//!   of a victim's deque — grabbing the victim's most expensive pending
-//!   task, which amortises the steal and rebalances exactly when the
-//!   size-skewed tail would otherwise serialise the run;
-//! * no task ever spawns another, so termination is a single sweep: a
-//!   worker exits when every deque is empty.
+//! * [`crate::run_suite`] submits one job per function in the
+//!   scheduler's cheapest-first order and shuts the pool down once the
+//!   suite is queued; the FIFO queue hands jobs out in exactly that
+//!   order, whatever the worker count;
+//! * the `regalloc-serve` daemon submits one job per admitted request
+//!   for as long as it runs.
 //!
-//! Determinism: results are returned in *item-index order* regardless of
-//! which worker ran what or when, so callers observe identical output for
-//! any worker count (provided the tasks themselves are deterministic).
+//! Workers sleep on one condition variable guarded by the queue's own
+//! mutex, with the shutdown flag under that same mutex, so a wakeup can
+//! never be lost between a worker's check and its wait.
 
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Per-run pool accounting, reported through `DriverStats`.
-#[derive(Clone, Debug)]
+/// Per-worker accounting (index = worker id), returned by
+/// [`ServicePool::shutdown`].
+#[derive(Clone, Debug, Default)]
 pub struct PoolStats {
-    /// Wall-clock time of the whole `run_indexed` call.
-    pub wall: Duration,
-    /// Time each worker spent executing tasks (index = worker id).
+    /// Time each worker spent executing jobs.
     pub busy: Vec<Duration>,
-    /// Tasks executed per worker (index = worker id). The imbalance
-    /// between this and an even split is what stealing absorbed.
+    /// Jobs executed per worker.
     pub tasks_per_worker: Vec<usize>,
-    /// Tasks each worker claimed from a *victim's* deque rather than its
-    /// own (index = worker id) — how often rebalancing actually fired.
-    pub steals_per_worker: Vec<usize>,
-    /// Time each claimed task spent queued before a worker popped it
-    /// (run start to pop, summed per claiming worker). All tasks are
-    /// seeded up front, so this is exact, not an approximation.
+    /// Time the jobs each worker ran spent queued (submit to start),
+    /// summed per worker.
     pub queue_wait_per_worker: Vec<Duration>,
-}
-
-impl PoolStats {
-    /// Mean fraction of the wall clock the workers spent busy (1.0 =
-    /// perfectly utilised).
-    pub fn utilization(&self) -> f64 {
-        if self.busy.is_empty() || self.wall.is_zero() {
-            return 0.0;
-        }
-        let total: Duration = self.busy.iter().sum();
-        total.as_secs_f64() / (self.wall.as_secs_f64() * self.busy.len() as f64)
-    }
-}
-
-/// Pop a task: own deque first (front), then steal (back) sweeping the
-/// victims from `w + 1` around the ring. The flag reports whether the
-/// task came from a victim (a steal) rather than the worker's own deque.
-fn next_task(deques: &[Mutex<VecDeque<usize>>], w: usize) -> Option<(usize, bool)> {
-    if let Some(i) = deques[w].lock().unwrap().pop_front() {
-        return Some((i, false));
-    }
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(i) = deques[(w + off) % n].lock().unwrap().pop_back() {
-            return Some((i, true));
-        }
-    }
-    None
-}
-
-/// Run `f(i, &items[i])` for every index in `order` across `jobs`
-/// workers and return the results in item-index order.
-///
-/// `order` must be a permutation of `0..items.len()`; it controls the
-/// *dispatch* order (the scheduler's priority), not the result order.
-///
-/// # Panics
-///
-/// Panics if `order` is not a permutation of the item indices, or if a
-/// task panics (the panic is propagated once the remaining workers have
-/// drained their queues).
-pub fn run_indexed<T, R, F>(jobs: usize, items: &[T], order: &[usize], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    assert_eq!(order.len(), n, "order must cover every item exactly once");
-    let mut seen = vec![false; n];
-    for &i in order {
-        assert!(i < n && !seen[i], "order must be a permutation");
-        seen[i] = true;
-    }
-
-    let jobs = jobs.max(1).min(n.max(1));
-    let start = Instant::now();
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, &i) in order.iter().enumerate() {
-        deques[k % jobs].lock().unwrap().push_back(i);
-    }
-
-    struct TaskReport<R> {
-        index: usize,
-        worker: usize,
-        result: R,
-        busy: Duration,
-        stolen: bool,
-        queue_wait: Duration,
-    }
-    let (tx, rx) = mpsc::channel::<TaskReport<R>>();
-    std::thread::scope(|s| {
-        for w in 0..jobs {
-            let tx = tx.clone();
-            let deques = &deques;
-            let f = &f;
-            s.spawn(move || {
-                while let Some((i, stolen)) = next_task(deques, w) {
-                    // Every task is seeded before the workers start, so
-                    // run-start-to-pop is exactly its time in the queue.
-                    let queue_wait = start.elapsed();
-                    let t0 = Instant::now();
-                    let r = f(i, &items[i]);
-                    // The receiver outlives the scope; a send can only
-                    // fail if the parent thread died, in which case the
-                    // panic is already propagating.
-                    let _ = tx.send(TaskReport {
-                        index: i,
-                        worker: w,
-                        result: r,
-                        busy: t0.elapsed(),
-                        stolen,
-                        queue_wait,
-                    });
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut busy = vec![Duration::ZERO; jobs];
-    let mut tasks_per_worker = vec![0usize; jobs];
-    let mut steals_per_worker = vec![0usize; jobs];
-    let mut queue_wait_per_worker = vec![Duration::ZERO; jobs];
-    for t in rx {
-        results[t.index] = Some(t.result);
-        busy[t.worker] += t.busy;
-        tasks_per_worker[t.worker] += 1;
-        if t.stolen {
-            steals_per_worker[t.worker] += 1;
-        }
-        queue_wait_per_worker[t.worker] += t.queue_wait;
-    }
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every index in the permutation produced a result"))
-        .collect();
-    (
-        results,
-        PoolStats {
-            wall: start.elapsed(),
-            busy,
-            tasks_per_worker,
-            steals_per_worker,
-            queue_wait_per_worker,
-        },
-    )
 }
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct ServiceShared {
-    /// One deque per worker, same steal discipline as [`run_indexed`]:
-    /// own front first, then victims' backs.
-    deques: Vec<Mutex<VecDeque<Job>>>,
-    /// Count of pushed-but-unclaimed jobs; the condvar's guarded state.
-    pending: Mutex<usize>,
+struct Queue {
+    /// Pending jobs with their submission instants, oldest first.
+    jobs: VecDeque<(Instant, Job)>,
+    shutting_down: bool,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
     cond: Condvar,
-    shutting_down: AtomicBool,
     active: AtomicUsize,
     executed: AtomicUsize,
     panicked: AtomicUsize,
 }
 
-/// The long-lived sibling of [`run_indexed`]: the same per-worker-deque /
-/// steal-from-the-back layout, but accepting jobs continuously instead of
-/// a frozen task list — the daemon multiplexes network requests onto it.
-///
-/// Robustness properties the batch pool never needed:
+/// A fixed set of worker threads serving one FIFO job queue.
 ///
 /// * **panic isolation** — a job that panics is counted
 ///   ([`ServicePool::panicked`]) and its worker keeps serving; a panic
-///   can never take the pool down (callers typically also catch panics
-///   themselves to turn them into per-request error responses — this is
-///   the second line of defense);
+///   can never take the pool down (callers that need the job's outcome
+///   notice the missing result themselves);
 /// * **graceful shutdown** — [`ServicePool::shutdown`] lets every queued
-///   job run before joining the workers, so an accepted request is never
+///   job run before joining the workers, so an accepted job is never
 ///   dropped on the floor;
 /// * the queue itself is unbounded: *admission control belongs to the
 ///   caller* (the daemon rejects with `BUSY` before submitting), so the
 ///   pool never has to make a load-shedding decision it lacks context
 ///   for.
 pub struct ServicePool {
-    shared: Arc<ServiceShared>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next: AtomicUsize,
+    shared: Arc<Shared>,
+    workers: Mutex<Vec<JoinHandle<(Duration, usize, Duration)>>>,
 }
 
 impl ServicePool {
     /// Spin up `jobs` long-lived workers (0 is treated as 1).
     pub fn new(jobs: usize) -> ServicePool {
-        let jobs = jobs.max(1);
-        let shared = Arc::new(ServiceShared {
-            deques: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutting_down: false,
+            }),
             cond: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             executed: AtomicUsize::new(0),
             panicked: AtomicUsize::new(0),
         });
-        let workers = (0..jobs)
+        let workers = (0..jobs.max(1))
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("regalloc-worker-{w}"))
-                    .spawn(move || worker_loop(&shared, w))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
         ServicePool {
             shared,
             workers: Mutex::new(workers),
-            next: AtomicUsize::new(0),
         }
     }
 
-    /// Queue a job. Jobs are distributed round-robin across the worker
-    /// deques; an idle worker steals from the back of a loaded one, so a
-    /// skewed arrival pattern still uses every worker.
+    /// Queue a job behind every job already submitted. A job submitted
+    /// after [`ServicePool::shutdown`] is dropped unrun.
     pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        let w = self.next.fetch_add(1, Ordering::Relaxed) % self.shared.deques.len();
-        self.shared.deques[w]
-            .lock()
-            .unwrap()
-            .push_back(Box::new(job));
-        *self.shared.pending.lock().unwrap() += 1;
+        let mut q = self.shared.queue.lock().unwrap();
+        if q.shutting_down {
+            return;
+        }
+        q.jobs.push_back((Instant::now(), Box::new(job)));
+        drop(q);
         self.shared.cond.notify_one();
     }
 
-    /// Jobs queued but not yet claimed by a worker.
+    /// Jobs queued but not yet started.
     pub fn queued(&self) -> usize {
-        *self.shared.pending.lock().unwrap()
+        self.shared.queue.lock().unwrap().jobs.len()
     }
 
     /// Jobs currently executing.
@@ -281,70 +135,57 @@ impl ServicePool {
         self.queued() == 0 && self.active() == 0
     }
 
-    /// Drain the queue (every already-submitted job runs) and join the
-    /// workers. Idempotent; jobs submitted after shutdown never run.
-    pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
+    /// Let every already-submitted job run, join the workers and return
+    /// their accounting. Idempotent: a repeated call joins nothing and
+    /// returns empty statistics.
+    pub fn shutdown(&self) -> PoolStats {
+        self.shared.queue.lock().unwrap().shutting_down = true;
         self.shared.cond.notify_all();
         let workers = std::mem::take(&mut *self.workers.lock().unwrap());
+        let mut stats = PoolStats::default();
         for w in workers {
-            let _ = w.join();
+            // Job panics are caught inside the loop, so a worker thread
+            // itself only fails if the pool's own bookkeeping panicked.
+            let (busy, tasks, queue_wait) = w.join().expect("pool worker exited cleanly");
+            stats.busy.push(busy);
+            stats.tasks_per_worker.push(tasks);
+            stats.queue_wait_per_worker.push(queue_wait);
         }
+        stats
     }
 }
 
-fn worker_loop(shared: &ServiceShared, w: usize) {
+/// Serve the queue until shutdown leaves it empty; returns this worker's
+/// (busy time, jobs run, summed queue wait).
+fn worker_loop(shared: &Shared) -> (Duration, usize, Duration) {
+    let (mut busy, mut tasks, mut queue_wait) = (Duration::ZERO, 0, Duration::ZERO);
     loop {
-        // Claim a pending job (or learn we are done).
-        {
-            let mut pending = shared.pending.lock().unwrap();
+        let (queued_at, job) = {
+            let mut q = shared.queue.lock().unwrap();
             loop {
-                if *pending > 0 {
-                    *pending -= 1;
-                    break;
+                if let Some(job) = q.jobs.pop_front() {
+                    // Counted active before the lock drops, so
+                    // `is_idle` never sees a claimed job as neither
+                    // queued nor running.
+                    shared.active.fetch_add(1, Ordering::SeqCst);
+                    break job;
                 }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
+                if q.shutting_down {
+                    return (busy, tasks, queue_wait);
                 }
-                let (guard, _) = shared
-                    .cond
-                    .wait_timeout(pending, Duration::from_millis(50))
-                    .unwrap();
-                pending = guard;
+                q = shared.cond.wait(q).unwrap();
             }
-        }
-        // The claim guarantees a job exists in *some* deque; pop own
-        // front, then steal from victims' backs, retrying on the rare
-        // race where another claimant reached the same deque first.
-        let job = loop {
-            if let Some(j) = pop_job(&shared.deques, w) {
-                break j;
-            }
-            std::thread::yield_now();
         };
-        shared.active.fetch_add(1, Ordering::SeqCst);
+        let t0 = Instant::now();
+        queue_wait += t0 - queued_at;
         if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
             shared.panicked.fetch_add(1, Ordering::SeqCst);
         }
-        shared.active.fetch_sub(1, Ordering::SeqCst);
+        busy += t0.elapsed();
+        tasks += 1;
         shared.executed.fetch_add(1, Ordering::SeqCst);
+        shared.active.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-/// Pop a job: own deque first (front), then steal (back) sweeping the
-/// victims from `w + 1` around the ring — the [`next_task`] discipline
-/// over owned jobs instead of indices.
-fn pop_job(deques: &[Mutex<VecDeque<Job>>], w: usize) -> Option<Job> {
-    if let Some(j) = deques[w].lock().unwrap().pop_front() {
-        return Some(j);
-    }
-    let n = deques.len();
-    for off in 1..n {
-        if let Some(j) = deques[(w + off) % n].lock().unwrap().pop_back() {
-            return Some(j);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -352,104 +193,71 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_are_in_index_order_for_any_job_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let order: Vec<usize> = (0..items.len()).rev().collect();
-        let seq = run_indexed(1, &items, &order, |_, &x| x * x).0;
-        for jobs in [2, 4, 8] {
-            let par = run_indexed(jobs, &items, &order, |_, &x| x * x).0;
-            assert_eq!(par, seq, "jobs={jobs}");
+    fn one_worker_runs_jobs_in_submission_order() {
+        // The FIFO queue is what keeps a cheapest-first schedule
+        // cheapest-first.
+        let pool = ServicePool::new(1);
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..32 {
+            let ran = Arc::clone(&ran);
+            pool.submit(move || ran.lock().unwrap().push(i));
         }
-        assert_eq!(seq[10], 100);
+        pool.shutdown();
+        assert_eq!(*ran.lock().unwrap(), (0..32).collect::<Vec<_>>());
     }
 
     #[test]
-    fn skewed_costs_are_stolen_across_workers() {
-        // The first task parks its worker until the second worker has
-        // started a task (bounded wait, so a starved pool still ends the
-        // test); the remaining cheap tasks must then flow to the other
-        // worker or the run serialises. This is deterministic where a
-        // pure cost skew is not: under CPU contention the second worker
-        // can spawn late enough to miss an entire skewed run.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<u64> = (0..40).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let started = AtomicUsize::new(0);
-        let (res, stats) = run_indexed(2, &items, &order, |i, &x| {
-            started.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                let t0 = std::time::Instant::now();
-                while started.load(Ordering::SeqCst) < 2
-                    && t0.elapsed() < std::time::Duration::from_secs(5)
-                {
-                    std::thread::yield_now();
+    fn a_parked_workers_backlog_reaches_the_other_worker() {
+        // The first job parks its worker until every other job has
+        // started (bounded wait, so a starved pool still ends the test):
+        // the backlog can only get there through the other worker.
+        let pool = ServicePool::new(2);
+        let n = 16;
+        let started = Arc::new(AtomicUsize::new(0));
+        let unparked = Arc::new(AtomicUsize::new(0));
+        for i in 0..n {
+            let (started, unparked) = (Arc::clone(&started), Arc::clone(&unparked));
+            pool.submit(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    let t0 = Instant::now();
+                    while started.load(Ordering::SeqCst) < n
+                        && t0.elapsed() < Duration::from_secs(10)
+                    {
+                        std::thread::yield_now();
+                    }
+                    if started.load(Ordering::SeqCst) == n {
+                        unparked.fetch_add(1, Ordering::SeqCst);
+                    }
                 }
-            }
-            let mut acc = x;
-            for k in 0..40_000 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            acc
-        });
-        assert_eq!(res.len(), 40);
-        let total: usize = stats.tasks_per_worker.iter().sum();
-        assert_eq!(total, 40);
-        assert!(
-            stats.tasks_per_worker.iter().all(|&t| t > 0),
-            "both workers ran tasks: {:?}",
-            stats.tasks_per_worker
-        );
+            });
+        }
+        let stats = pool.shutdown();
+        assert_eq!(unparked.load(Ordering::SeqCst), 1, "backlog ran meanwhile");
+        let mut tasks = stats.tasks_per_worker.clone();
+        tasks.sort();
+        assert_eq!(tasks, vec![1, n - 1], "{:?}", stats.tasks_per_worker);
     }
 
     #[test]
-    fn steals_and_queue_wait_are_accounted() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<u64> = (0..16).collect();
-        let order: Vec<usize> = (0..items.len()).collect();
-        let started = AtomicUsize::new(0);
-        let (res, stats) = run_indexed(2, &items, &order, |i, &x| {
-            started.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                // Park the first worker until every other task has
-                // started — the second worker can only get there by
-                // stealing the parked worker's backlog (bounded wait so
-                // a starved pool still ends the test).
-                let t0 = std::time::Instant::now();
-                while started.load(Ordering::SeqCst) < items.len()
-                    && t0.elapsed() < std::time::Duration::from_secs(5)
-                {
-                    std::thread::yield_now();
-                }
-            }
-            x
-        });
-        assert_eq!(res.len(), 16);
-        assert_eq!(stats.steals_per_worker.len(), 2);
+    fn busy_time_tasks_and_queue_wait_are_accounted() {
+        let pool = ServicePool::new(2);
+        for _ in 0..12 {
+            pool.submit(|| std::thread::sleep(Duration::from_millis(2)));
+        }
+        let stats = pool.shutdown();
+        assert_eq!(stats.busy.len(), 2);
+        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 12);
         assert_eq!(stats.queue_wait_per_worker.len(), 2);
-        let steals: usize = stats.steals_per_worker.iter().sum();
+        let busy: Duration = stats.busy.iter().sum();
+        assert!(busy >= Duration::from_millis(24), "busy {busy:?}");
+        // Twelve 2 ms jobs on two workers: the later ones must wait.
+        let wait: Duration = stats.queue_wait_per_worker.iter().sum();
+        assert!(wait >= Duration::from_millis(2), "queue wait {wait:?}");
         assert!(
-            steals > 0,
-            "second worker stole the parked backlog: {:?}",
-            stats.steals_per_worker
+            pool.shutdown().busy.is_empty(),
+            "a second shutdown joins nothing"
         );
-    }
-
-    #[test]
-    fn empty_input_and_oversized_pool() {
-        let items: Vec<u32> = Vec::new();
-        let (res, _) = run_indexed(8, &items, &[], |_, &x| x);
-        assert!(res.is_empty());
-        let one = [7u32];
-        let (res, stats) = run_indexed(64, &one, &[0], |_, &x| x + 1);
-        assert_eq!(res, vec![8]);
-        assert_eq!(stats.busy.len(), 1, "pool never exceeds the task count");
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn rejects_duplicate_order_entries() {
-        let items = [1u32, 2];
-        run_indexed(2, &items, &[0, 0], |_, &x| x);
     }
 
     #[test]
@@ -467,6 +275,8 @@ mod tests {
         assert_eq!(pool.executed(), 64);
         assert_eq!(pool.panicked(), 0);
         assert!(pool.is_idle());
+        pool.submit(|| unreachable!("a job submitted after shutdown never runs"));
+        assert!(pool.is_idle());
     }
 
     #[test]
@@ -482,10 +292,11 @@ mod tests {
                 ok.fetch_add(1, Ordering::SeqCst);
             });
         }
-        pool.shutdown();
+        let stats = pool.shutdown();
         assert_eq!(pool.panicked(), 5);
         assert_eq!(ok.load(Ordering::SeqCst), 15);
         assert_eq!(pool.executed(), 20);
+        assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 20);
     }
 
     #[test]

@@ -220,6 +220,44 @@ fn exhausted_global_budget_demotes_but_completes() {
     }
 }
 
+#[test]
+fn empty_suite_and_oversized_pool() {
+    let out = run_suite(&[], &fast_config());
+    assert!(out.results.is_empty());
+    assert_eq!(out.stats.functions, 0);
+
+    let one = &suite50()[..1];
+    let cfg = DriverConfig {
+        jobs: 64,
+        ..fast_config()
+    };
+    let out = run_suite(one, &cfg);
+    assert_eq!(out.results.len(), 1);
+    assert_eq!(out.results[0].name, one[0].name());
+    assert_eq!(
+        out.metrics.gauge("regalloc_pool_workers", &[]),
+        Some(1.0),
+        "the pool never exceeds the task count"
+    );
+    assert_eq!(out.stats.worker_busy.len(), 1);
+}
+
+#[test]
+#[should_panic(expected = "allocating `broken` panicked")]
+fn a_panicking_task_fails_the_run_and_names_the_function() {
+    // A jump to a block that does not exist: the baseline allocator,
+    // which runs outside the degradation ladder's panic guard, panics.
+    let mut b = regalloc_ir::FunctionBuilder::new("broken");
+    b.jump(regalloc_ir::BlockId(7));
+    let funcs = vec![suite50().remove(0), b.finish()];
+    let cfg = DriverConfig {
+        jobs: 2,
+        compare_baseline: true,
+        ..fast_config()
+    };
+    run_suite(&funcs, &cfg);
+}
+
 /// Unique-enough temp dir under the target directory (no external
 /// tempfile crate in the offline workspace).
 fn tempdir(tag: &str) -> PathBuf {

@@ -436,14 +436,6 @@ impl<'a> Tableau<'a> {
                     return StopReason::Numerical;
                 }
             }
-            #[cfg(feature = "debug-lp")]
-            if self.iters % 20_000 == 0 {
-                let obj: f64 = (0..self.num_vars()).map(|j| costs[j] * self.x[j]).sum();
-                eprintln!(
-                    "iter {} obj {obj} bland={bland_mode} streak={degen_streak}",
-                    self.iters
-                );
-            }
 
             // Pricing.
             if degen_streak >= BLAND_TRIGGER && !bland_mode {

@@ -104,18 +104,20 @@ impl Frame {
         self.get("id").unwrap_or("?")
     }
 
-    /// Serialize: header line, then the raw payload.
+    /// Serialize: header line, then the raw payload, in one `write_all`
+    /// so a frame leaves as one segment rather than a header segment
+    /// that waits for its ACK before the payload may follow.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let mut line = self.verb.clone();
+        let mut buf = self.verb.clone().into_bytes();
         for (k, v) in &self.fields {
-            line.push(' ');
-            line.push_str(k);
-            line.push('=');
-            line.push_str(v);
+            buf.push(b' ');
+            buf.extend_from_slice(k.as_bytes());
+            buf.push(b'=');
+            buf.extend_from_slice(v.as_bytes());
         }
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-        w.write_all(&self.payload)?;
+        buf.push(b'\n');
+        buf.extend_from_slice(&self.payload);
+        w.write_all(&buf)?;
         w.flush()
     }
 
@@ -282,6 +284,34 @@ mod tests {
         assert_eq!(back.payload, alloc.payload);
         assert_eq!(back.get("client"), Some("c1"));
         assert_eq!(back.get_u64("bytes"), Some(9));
+    }
+
+    #[test]
+    fn a_frame_is_written_with_one_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let frame = Frame::new("OK")
+            .field("id", "r9")
+            .with_payload(b"fn f {\n}\n".to_vec());
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        frame.write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "header and payload leave in one write");
+        assert_eq!(w.bytes, b"OK bytes=9 id=r9\nfn f {\n}\n");
     }
 
     #[test]

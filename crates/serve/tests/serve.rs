@@ -356,3 +356,38 @@ fn metrics_endpoint_serves_prometheus_text_on_the_same_port() {
     );
     drain_and_join(&addr, server);
 }
+
+#[test]
+fn cache_hit_round_trips_are_not_held_by_delayed_acks() {
+    // A cache hit costs the server a few milliseconds at most, so
+    // sequential round trips on one connection must be quick too. A
+    // response split over two segments without TCP_NODELAY waits out
+    // the client's delayed ACK (about 40 ms per round trip on Linux).
+    let (addr, server) = start(ServeConfig {
+        driver: test_driver_cfg(1),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr, "latency").expect("connect");
+    client.set_timeout(Some(Duration::from_secs(30))).ok();
+    let f = &workload(1)[0];
+    let warm = client.alloc(f, &AllocOptions::default()).expect("alloc");
+    assert_eq!(warm.frame.verb, "OK", "{}", warm.message());
+
+    let mut rtts: Vec<Duration> = (0..41)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let resp = client.alloc(f, &AllocOptions::default()).expect("alloc");
+            let rtt = t0.elapsed();
+            assert_eq!(resp.frame.verb, "OK", "{}", resp.message());
+            assert_eq!(resp.frame.get("cache"), Some("hit"));
+            rtt
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median cache-hit round trip {median:?} (all: {rtts:?})"
+    );
+    drain_and_join(&addr, server);
+}

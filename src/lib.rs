@@ -18,9 +18,9 @@
 //!   every §5 irregularity extension,
 //! * [`coloring`] — the Chaitin–Briggs graph-coloring baseline ("GCC"),
 //! * [`workloads`] — a seeded synthetic SPECint92 workload generator,
-//! * [`driver`] — the parallel batch allocation service (work-stealing
-//!   workers, content-addressed solution cache, deadline-aware
-//!   scheduling),
+//! * [`driver`] — the parallel batch allocation service (a FIFO worker
+//!   pool shared with the daemon, content-addressed solution cache,
+//!   deadline-aware scheduling),
 //! * [`lint`] — the static dataflow translation validator and
 //!   allocation-quality lint engine,
 //! * [`obs`] — span/event tracing (the [`obs::Tracer`] every allocation
